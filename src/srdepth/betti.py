@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, clique_complex, complex_from_squarefree_ideal, stanley_reisner_ideal
 from .graphs import Graph, GuardError, mask_of
-from .homology import GF2, FieldSpec, betti_from_sizes, boundary_rank
+# boundary_rank is unused here; perfbench's tracer test patches the
+# srdepth.betti.boundary_rank binding, so the import stays.
+from .homology import GF2, FieldSpec, betti_from_sizes, boundary_rank  # noqa: F401
 from .monomials import MonomialIdeal, Polarization, polarize
 
 SUBSET_SCAN_LIMIT = 14
@@ -94,6 +96,12 @@ def _active_generators(w: int, gen_masks: list[int]) -> tuple[bool, int, int]:
     return has, cover, gmin
 
 
+def guard_subset_scan(n: int, allow_large: bool) -> None:
+    """Raise GuardError before a 2^n subset scan over the size limit."""
+    if n > SUBSET_SCAN_LIMIT and not allow_large:
+        raise GuardError(f"subset scan limited to n <= {SUBSET_SCAN_LIMIT}; override to force")
+
+
 def _filtered_sizes(w: int, faces_by_size: list[list[int]], kmax: int) -> list[list[int]]:
     not_w = ~w
     filt = [[f for f in group if f & not_w == 0] for group in faces_by_size[: kmax + 1]]
@@ -112,8 +120,7 @@ def graded_betti_table(c: SimplicialComplex, field: FieldSpec = GF2, *,
     """Exact Betti table by scanning every vertex subset."""
     if c.is_void:
         raise ValueError("the void complex has no Betti table")
-    if c.n > SUBSET_SCAN_LIMIT and not allow_large:
-        raise GuardError(f"subset scan limited to n <= {SUBSET_SCAN_LIMIT}; override to force")
+    guard_subset_scan(c.n, allow_large)
     gen_masks, faces_by_size = _complex_scan_data(c)
     entries = {(0, 0): 1}
     for w in range(1, 1 << c.n):
@@ -169,8 +176,7 @@ def depth_stanley_reisner(c: SimplicialComplex, field: FieldSpec = GF2, *,
     """Depth and projective dimension of the Stanley-Reisner quotient."""
     if c.is_void:
         raise ValueError("the void complex has no depth")
-    if c.n > SUBSET_SCAN_LIMIT and not allow_large:
-        raise GuardError(f"subset scan limited to n <= {SUBSET_SCAN_LIMIT}; override to force")
+    guard_subset_scan(c.n, allow_large)
     gen_masks, faces_by_size = _complex_scan_data(c)
     pd, witness = _depth_scan(c.n, gen_masks, faces_by_size, field)
     return DepthResult(c.n - pd, pd, witness)
@@ -181,7 +187,7 @@ def graph_depth(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) 
     return depth_stanley_reisner(clique_complex(g), field, allow_large=allow_large)
 
 
-def kappa_via_betti(g: Graph, field: FieldSpec = GF2) -> int:
+def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> int:
     """Vertex connectivity read off Betti vanishing.
 
     Smallest |W| whose removal leaves nonzero degree-0 reduced homology of
@@ -190,15 +196,12 @@ def kappa_via_betti(g: Graph, field: FieldSpec = GF2) -> int:
     """
     if g.n < 2:
         raise ValueError("kappa via Betti numbers needs n >= 2")
+    guard_subset_scan(g.n, allow_large)
+    skeleton = clique_complex(g).faces_by_size()[:3]
     for k in range(g.n - 1):
         for combo in itertools.combinations(range(g.n), k):
             rest = g.full_mask & ~mask_of(combo)
-            verts = [1 << v for v in range(g.n) if rest >> v & 1]
-            edges = [(1 << u) | (1 << v) for u, v in g.edges()
-                     if rest >> u & 1 and rest >> v & 1]
-            r1 = boundary_rank(verts, [0], field)
-            r2 = boundary_rank(edges, verts, field)
-            if len(verts) - r1 - r2 > 0:
+            if betti_from_sizes(_filtered_sizes(rest, skeleton, 2), field, 0, 0):
                 return k
     return g.n - 1
 
@@ -207,7 +210,8 @@ def depth_monomial_quotient(ideal: MonomialIdeal, field: FieldSpec = GF2, *,
                             allow_large: bool = False) -> DepthResult:
     """Depth of S/I for a monomial ideal, via polarization.
 
-    Polarizes, runs the Stanley-Reisner depth scan in the enlarged ring and
+    Polarizes, runs the Stanley-Reisner depth scan in the enlarged ring on
+    the polarized generators (the minimal non-faces of its complex) and
     subtracts the number of split variables; exact for every monomial ideal
     and the identity on squarefree ones.
     """
@@ -221,6 +225,6 @@ def depth_monomial_quotient(ideal: MonomialIdeal, field: FieldSpec = GF2, *,
         raise GuardError(
             f"polarized ring has {m} variables, over the {POLARIZED_SCAN_LIMIT} limit; override to force")
     comp = complex_from_squarefree_ideal(pol.ideal)
-    inner = depth_stanley_reisner(comp, field, allow_large=True)
-    depth = inner.depth - pol.new_var_count
-    return DepthResult(depth, ideal.num_vars - depth, inner.witness)
+    pd, witness = _depth_scan(m, pol.ideal.support_masks(), comp.faces_by_size(), field)
+    depth = m - pd - pol.new_var_count
+    return DepthResult(depth, ideal.num_vars - depth, witness)

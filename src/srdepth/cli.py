@@ -1,7 +1,7 @@
 """Command-line surface: one verb per capability.
 
-Subcommands: depth, betti, kappa, powers, verify, fuzz, search-depth2,
-example, ideal-depth.  Exit status 0 on success, 1 when a verification
+Subcommands: depth, betti, kappa, powers, verify (alias example), fuzz,
+search-depth2, ideal-depth.  Exit status 0 on success, 1 when a verification
 check fails, 2 on usage or parse errors.
 """
 
@@ -144,7 +144,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
 def cmd_kappa(args: argparse.Namespace) -> int:
     g = load_graph(args)
     conn = gr.vertex_connectivity(g)
-    kb = kappa_via_betti(g, field_of(args))
+    kb = kappa_via_betti(g, field_of(args), allow_large=args.allow_large)
     witness = sorted(v + 1 for v in gr.bits(conn.witness)) if conn.witness is not None else None
     if args.format == "json":
         print(json.dumps({"kappa": conn.kappa, "kappa_via_betti": kb,
@@ -159,15 +159,10 @@ def cmd_kappa(args: argparse.Namespace) -> int:
 def cmd_powers(args: argparse.Namespace) -> int:
     g = load_graph(args)
     field = field_of(args)
-    gc = g.complement()
-    ideal = mono.edge_ideal(gc)
-    square = mono.power(ideal, 2) if not ideal.is_zero() else ideal
-    symb = mono.symbolic_power(gc, 2)
+    symb, square = ver.second_powers(g)
     d1 = graph_depth(g, field, allow_large=args.allow_large).depth
-    d2 = depth_monomial_quotient(symb, field, allow_large=args.allow_large).depth \
-        if not symb.is_zero() else g.n
-    d3 = depth_monomial_quotient(square, field, allow_large=args.allow_large).depth \
-        if not square.is_zero() else g.n
+    d2 = depth_monomial_quotient(symb, field, allow_large=args.allow_large).depth
+    d3 = depth_monomial_quotient(square, field, allow_large=args.allow_large).depth
     if args.format == "json":
         print(json.dumps({"depth": d1, "depth_symbolic_square": d2, "depth_square": d3}, indent=2))
     else:
@@ -178,20 +173,12 @@ def cmd_powers(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_command(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     g = load_graph(args)
     report = ver.verify_graph(g, field_of(args), include_powers=args.powers,
                               allow_large=args.allow_large)
     sys.stdout.write(render_report(report, args))
     return 0 if report.all_pass() else 1
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    return _report_command(args)
-
-
-def cmd_example(args: argparse.Namespace) -> int:
-    return _report_command(args)
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -244,11 +231,18 @@ def cmd_ideal_depth(args: argparse.Namespace) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, graph_input: bool = True) -> None:
     p.add_argument("--field", type=int, default=2,
                    help="coefficient field characteristic: a prime, or 0 for exact rationals")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=positive_int, default=1,
                    help="worker count; output is identical for any value")
     p.add_argument("--allow-large", action="store_true",
                    help="override size guards (echoed in the output header)")
@@ -281,15 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_powers)
 
-    p = sub.add_parser("verify", help="verify every inequality on one graph")
+    p = sub.add_parser("verify", aliases=["example"], help="verify every inequality on one graph")
     _add_common(p)
     p.add_argument("--powers", action="store_true", help="include second-power depth checks")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("example", help="verify a named example graph")
-    _add_common(p)
-    p.add_argument("--powers", action="store_true", help="include second-power depth checks")
-    p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("fuzz", help="seeded random verification campaign")
     _add_common(p, graph_input=False)

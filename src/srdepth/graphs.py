@@ -381,7 +381,7 @@ def parse_graph6(line: str) -> Graph:
 
 
 def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
-    if fmt in ("edge-list", "edges"):
+    if fmt == "edge-list":
         return parse_edge_list(text)
     if fmt == "graph6":
         lines = [ln for ln in text.splitlines() if ln.strip()]

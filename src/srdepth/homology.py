@@ -17,6 +17,10 @@ from .complexes import SimplicialComplex
 from .graphs import bits
 
 
+# Trial division up to the square root of this bound stays in milliseconds.
+FIELD_LIMIT = 1 << 31
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -35,8 +39,9 @@ class FieldSpec:
     characteristic: int = 2
 
     def __post_init__(self) -> None:
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
-            raise ValueError(f"characteristic must be 0 or prime, got {self.characteristic}")
+        p = self.characteristic
+        if p != 0 and not (p < FIELD_LIMIT and _is_prime(p)):
+            raise ValueError(f"characteristic must be 0 or a prime below 2^31, got {p}")
 
 
 GF2 = FieldSpec(2)
@@ -147,29 +152,6 @@ def boundary_rank(faces_k: Sequence[int], faces_km1: Sequence[int], field: Field
     if field.characteristic == 2:
         return rank_gf2(cols)
     return rank_sparse(cols, field.characteristic)
-
-
-def boundary_matrix(c: SimplicialComplex, ell: int, field: FieldSpec = GF2) -> list[list]:
-    """Dense signed boundary matrix from ell-faces to (ell-1)-faces.
-
-    Rows and columns are ordered lexicographically by face mask; for ell = 0
-    the single row is the empty face (augmentation).
-    """
-    if c.is_void:
-        raise ValueError("the void complex has no boundary matrices")
-    if ell < 0:
-        raise ValueError("boundary degree must be >= 0")
-    grouped = c.faces_by_size()
-    faces_k = grouped[ell + 1] if ell + 1 < len(grouped) else []
-    faces_km1 = grouped[ell] if ell < len(grouped) else []
-    p = field.characteristic
-    mat = [[0] * len(faces_k) for _ in faces_km1]
-    row_index = {f: i for i, f in enumerate(faces_km1)}
-    for col, f in enumerate(faces_k):
-        for pos, v in enumerate(bits(f)):
-            sign = -1 if pos % 2 else 1
-            mat[row_index[f ^ (1 << v)]][col] = sign % p if p else sign
-    return mat
 
 
 def betti_from_sizes(faces_by_size: Sequence[Sequence[int]], field: FieldSpec,

@@ -32,10 +32,6 @@ def lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def quotient(a: Monomial, b: Monomial) -> Monomial:
     """a / gcd(a, b), the colon of principal monomials."""
     return tuple(max(x - y, 0) for x, y in zip(a, b))

@@ -14,12 +14,11 @@ from typing import Optional
 
 from . import graphs as gr
 from . import monomials as mono
-from .betti import GuardError, graded_betti_table, graph_depth, kappa_via_betti
-from .betti import POLARIZED_SCAN_LIMIT, depth_monomial_quotient
+from .betti import GuardError, depth_monomial_quotient, graded_betti_table, graph_depth
+from .betti import guard_subset_scan, kappa_via_betti
 from .complexes import clique_complex
 from .graphs import Graph
 from .homology import GF2, FieldSpec
-from .monomials import polarize
 
 FUZZ_N_LIMIT_ALL = 10
 FUZZ_N_LIMIT_POWERS = 7
@@ -174,14 +173,23 @@ class VerificationReport:
 CSV_HEADER = "n,edges,kappa,chordal,depth,depth_symbolic,depth_square,field,all_pass"
 
 
-def _power_depth(ideal: mono.MonomialIdeal, field: FieldSpec, allow_large: bool) -> tuple[Optional[int], str]:
-    """Depth of a monomial quotient, or (None, reason) when over the guard."""
-    if ideal.is_zero():
-        return ideal.num_vars, ""
-    pol_vars = ideal.num_vars + sum(max(e - 1, 0) for e in ideal.max_exponents())
-    if pol_vars > POLARIZED_SCAN_LIMIT and not allow_large:
-        return None, f"skipped: size (polarized ring has {pol_vars} variables)"
-    return depth_monomial_quotient(ideal, field, allow_large=allow_large).depth, ""
+def second_powers(g: Graph) -> tuple[mono.MonomialIdeal, mono.MonomialIdeal]:
+    """The symbolic square and the square of the edge ideal of the complement."""
+    gc = g.complement()
+    return mono.symbolic_power(gc, 2), mono.power(mono.edge_ideal(gc), 2)
+
+
+def _power_check(name: str, ideal: mono.MonomialIdeal, lower: Optional[int], field: FieldSpec,
+                 allow_large: bool) -> tuple[Optional[int], Check]:
+    """Depth of a second power and its lower-bound check (lower is None for
+    a complete graph); the depth is None when a size guard skips it."""
+    try:
+        depth = depth_monomial_quotient(ideal, field, allow_large=allow_large).depth
+    except GuardError as exc:
+        return None, Check(name, "skipped", f"skipped: size ({exc})")
+    if lower is None:
+        return depth, Check(name, "skipped", "complete graph")
+    return depth, Check(name, "pass" if depth >= lower else "fail", f"depth={depth} lower={lower}")
 
 
 def verify_graph(g: Graph, field: FieldSpec = GF2, include_powers: bool = False, *,
@@ -189,6 +197,7 @@ def verify_graph(g: Graph, field: FieldSpec = GF2, include_powers: bool = False,
     """Compute the invariants of one graph and evaluate every inequality."""
     if g.n < 2:
         raise ValueError("verification needs n >= 2")
+    guard_subset_scan(g.n, allow_large)
     checks: list[Check] = []
     timings: dict[str, float] = {}
 
@@ -205,7 +214,7 @@ def verify_graph(g: Graph, field: FieldSpec = GF2, include_powers: bool = False,
     else:
         checks.append(Check("kappa_flow_equals_bruteforce", "skipped", "skipped: size"))
 
-    kb = kappa_via_betti(g, field)
+    kb = kappa_via_betti(g, field, allow_large=allow_large)
     checks.append(Check("kappa_betti_equals_graph", "pass" if kb == kappa else "fail",
                         f"betti={kb} graph={kappa}"))
 
@@ -258,28 +267,16 @@ def verify_graph(g: Graph, field: FieldSpec = GF2, include_powers: bool = False,
 
     depth_symbolic = depth_square = None
     if include_powers:
-        gc = g.complement()
         t0 = time.perf_counter()
-        symb = mono.symbolic_power(gc, 2)
-        depth_symbolic, why = _power_depth(symb, field, allow_large)
-        if depth_symbolic is None:
-            checks.append(Check("symbolic_square_lower_bound", "skipped", why))
-        elif complete:
-            checks.append(Check("symbolic_square_lower_bound", "skipped", "complete graph"))
-        else:
-            ok = depth_symbolic >= bset.lower_symbolic
-            checks.append(Check("symbolic_square_lower_bound", "pass" if ok else "fail",
-                                f"depth={depth_symbolic} lower={bset.lower_symbolic}"))
-        square = mono.power(mono.edge_ideal(gc), 2) if gc.num_edges() else mono.MonomialIdeal.zero(g.n)
-        depth_square, why = _power_depth(square, field, allow_large)
-        if depth_square is None:
-            checks.append(Check("square_lower_bound", "skipped", why))
-        elif complete:
-            checks.append(Check("square_lower_bound", "skipped", "complete graph"))
-        else:
-            ok = depth_square >= bset.lower_square
-            checks.append(Check("square_lower_bound", "pass" if ok else "fail",
-                                f"depth={depth_square} lower={bset.lower_square}"))
+        symb, square = second_powers(g)
+        depth_symbolic, check = _power_check("symbolic_square_lower_bound", symb,
+                                             None if complete else bset.lower_symbolic,
+                                             field, allow_large)
+        checks.append(check)
+        depth_square, check = _power_check("square_lower_bound", square,
+                                           None if complete else bset.lower_square,
+                                           field, allow_large)
+        checks.append(check)
         timings["powers"] = time.perf_counter() - t0
 
     return VerificationReport(

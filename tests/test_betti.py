@@ -14,11 +14,17 @@ from srdepth.betti import (
     graph_depth,
     kappa_via_betti,
 )
-from srdepth.complexes import SimplicialComplex, clique_complex, restrict
+from srdepth.complexes import (
+    SimplicialComplex,
+    clique_complex,
+    complex_from_squarefree_ideal,
+    restrict,
+    stanley_reisner_ideal,
+)
 from srdepth.graphs import Graph, GuardError, is_chordal, vertex_connectivity
 from srdepth.homology import GF2, GF3, RATIONAL, reduced_betti
 from srdepth.monomials import MonomialIdeal, edge_ideal, minimalize, parse_ideal, polarize
-from srdepth.verify import construct_example, random_chordal_graph
+from srdepth.verify import construct_example, random_chordal_graph, second_powers
 
 from conftest import oracle_betti_table, random_graph
 
@@ -127,8 +133,9 @@ class TestDepth:
 
 class TestKappaViaBetti:
     def test_matches_flow_kappa(self, medium_corpus):
-        for g in medium_corpus:
-            assert kappa_via_betti(g) == vertex_connectivity(g).kappa
+        for field in (GF2, GF3, RATIONAL):
+            for g in medium_corpus:
+                assert kappa_via_betti(g, field) == vertex_connectivity(g).kappa
 
     def test_complete_graph(self):
         assert kappa_via_betti(construct_example("complete", t=4)) == 3
@@ -139,6 +146,12 @@ class TestKappaViaBetti:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             kappa_via_betti(Graph(1, (0,)))
+
+    def test_guard_and_override(self):
+        path = construct_example("path", t=SUBSET_SCAN_LIMIT + 1)
+        with pytest.raises(GuardError):
+            kappa_via_betti(path)
+        assert kappa_via_betti(path, allow_large=True) == 1
 
 
 class TestMonomialQuotientDepth:
@@ -173,6 +186,17 @@ class TestMonomialQuotientDepth:
         gens = [tuple(9 if i == j else 0 for i in range(2)) for j in range(2)]
         with pytest.raises(GuardError, match="polarized"):
             depth_monomial_quotient(minimalize(gens, 2))
+
+    def test_polarized_generators_are_minimal_nonfaces(self, small_corpus):
+        # the depth scan takes the polarized generators as the complex's
+        # minimal non-faces, so the two sets must agree
+        for g in small_corpus[:25]:
+            symb, square = second_powers(g)
+            for ideal in (symb, square):
+                if ideal.is_zero():
+                    continue
+                pol = polarize(ideal).ideal
+                assert stanley_reisner_ideal(complex_from_squarefree_ideal(pol)) == pol
 
     def test_witness_in_polarized_ring(self):
         i = parse_ideal("x1^2", num_vars=1)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -12,6 +13,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_timed(capsys, *argv):
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    return result, time.perf_counter() - start
 
 
 class TestResolveExample:
@@ -62,6 +69,12 @@ class TestDepthCommand:
         code, out, _ = run(capsys, "depth", "--input", str(f))
         assert code == 0 and "depth = 2" in out
 
+    @pytest.mark.parametrize("field", ["1000000000000000003", "9" * 40])
+    def test_large_field_exit_2_fast(self, capsys, field):
+        (code, _, err), elapsed = run_timed(capsys, "depth", "--name", "c6", "--field", field)
+        assert code == 2 and "characteristic" in err
+        assert elapsed < 1.0
+
 
 class TestBettiCommand:
     def test_csv_rows(self, capsys):
@@ -98,6 +111,11 @@ class TestKappaCommand:
         code, out, _ = run(capsys, "kappa", "--name", "k4")
         assert code == 0 and "none (complete graph)" in out
 
+    def test_guard_before_scan(self, capsys):
+        (code, _, err), elapsed = run_timed(capsys, "kappa", "--name", "k12,12")
+        assert code == 2 and "subset scan" in err
+        assert elapsed < 1.0
+
 
 class TestPowersCommand:
     def test_c6(self, capsys):
@@ -106,6 +124,24 @@ class TestPowersCommand:
         assert "depth = 2" in out
         assert "depth (symbolic square) = 1" in out
         assert "depth (square) = 0" in out
+
+    @pytest.mark.parametrize("name", ["c6", "figure1", "k4", "p5"])
+    def test_matches_verify_powers(self, capsys, name):
+        code, out, _ = run(capsys, "powers", "--name", name, "--format", "json")
+        assert code == 0
+        _, report, _ = run(capsys, "verify", "--name", name, "--powers", "--format", "json")
+        report = json.loads(report)
+        assert json.loads(out) == {key: report[key] for key in
+                                   ("depth", "depth_symbolic_square", "depth_square")}
+
+    def test_guard_matches_verify_skip(self, capsys):
+        code, _, err = run(capsys, "powers", "--name", "c9")
+        assert code == 2 and "polarized ring has 18 variables" in err
+        code, out, _ = run(capsys, "verify", "--name", "c9", "--powers", "--format", "json")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name in ("symbolic_square_lower_bound", "square_lower_bound"):
+            assert checks[name]["status"] == "skipped"
+            assert "polarized ring has 18 variables" in checks[name]["detail"]
 
 
 class TestVerifyCommand:
@@ -126,6 +162,23 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "example", "--name", "c6", "--powers")
         assert code == 0
         assert "depth (symbolic square) = 1" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_example_output_identical(self, capsys, fmt):
+        argv = ["--name", "figure1", "--powers", "--format", fmt]
+        assert run(capsys, "example", *argv) == run(capsys, "verify", *argv)
+
+    def test_guard_before_scan(self, capsys):
+        (code, _, err), elapsed = run_timed(capsys, "verify", "--name", "k12,12")
+        assert code == 2 and "subset scan" in err
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--name", "c6", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_bad_input_exit_2(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"

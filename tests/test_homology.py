@@ -14,7 +14,6 @@ from srdepth.homology import (
     BettiVector,
     FieldSpec,
     betti_from_sizes,
-    boundary_matrix,
     boundary_rank,
     rank_gf2,
     rank_sparse,
@@ -27,12 +26,35 @@ from conftest import masks_to_tuples, oracle_reduced_betti, random_graph
 C6 = construct_example("cycle", t=6)
 
 
+def boundary_matrix(c: SimplicialComplex, ell: int, field: FieldSpec = GF2) -> list[list]:
+    """Dense signed boundary matrix from ell-faces to (ell-1)-faces.
+
+    Rows and columns are ordered lexicographically by face mask; for ell = 0
+    the single row is the empty face (augmentation).
+    """
+    if c.is_void:
+        raise ValueError("the void complex has no boundary matrices")
+    if ell < 0:
+        raise ValueError("boundary degree must be >= 0")
+    grouped = c.faces_by_size()
+    faces_k = grouped[ell + 1] if ell + 1 < len(grouped) else []
+    faces_km1 = grouped[ell] if ell < len(grouped) else []
+    p = field.characteristic
+    mat = [[0] * len(faces_k) for _ in faces_km1]
+    row_index = {f: i for i, f in enumerate(faces_km1)}
+    for col, f in enumerate(faces_k):
+        for pos, v in enumerate(bits(f)):
+            sign = -1 if pos % 2 else 1
+            mat[row_index[f ^ (1 << v)]][col] = sign % p if p else sign
+    return mat
+
+
 class TestFieldSpec:
-    @pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 101])
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 101, 2**31 - 1])
     def test_valid(self, p):
         assert FieldSpec(p).characteristic == p
 
-    @pytest.mark.parametrize("p", [1, 4, 6, 9, -2])
+    @pytest.mark.parametrize("p", [1, 4, 6, 9, -2, 2**61 - 1, 10**18 + 3])
     def test_invalid(self, p):
         with pytest.raises(ValueError):
             FieldSpec(p)
