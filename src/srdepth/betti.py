@@ -1,15 +1,14 @@
-"""Graded Betti tables of Stanley-Reisner rings and the depth invariants
-derived from them.
+"""Graded Betti tables of Stanley-Reisner rings and depth of monomial quotients.
 
 The (i, j) Betti number of K[Delta] is the sum over size-j vertex subsets W
-of dim H_{j-i-1}(Delta|_W) (Hochster's formula); projective dimension is the
-largest |W| - ell - 1 with nonvanishing homology and depth follows from
-Auslander-Buchsbaum (depth + pd = n).
+of dim H_{j-i-1}(Delta|_W) (Hochster's formula).  Depth is the smallest i
+with H^i_m(S/I) != 0, read off Takayama's formula
+dim H^i_m(S/I)_a = dim H_{i-|G_a|-1}(Delta_a) in the n variables of S, where
+G_a = {j : a_j < 0}; for a squarefree I, Delta_a is the link of G_a.
 
-Restrictions whose vertices are not all covered by enclosed minimal
-non-faces are cones and contribute nothing, and a restriction whose minimal
-non-faces all have at least q vertices has vanishing reduced homology below
-degree q - 2; both facts prune the 2^n scan.
+Both scans skip complexes that are cones, as when some vertex lies in no
+enclosed minimal non-face, and a complex whose minimal non-faces all have at
+least q vertices has vanishing reduced homology below degree q - 2.
 """
 
 from __future__ import annotations
@@ -18,11 +17,11 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, clique_complex, complex_from_squarefree_ideal, stanley_reisner_ideal
-from .graphs import Graph, GuardError, mask_of
+from .graphs import Graph, GuardError, bits, mask_of
 # boundary_rank is unused here; perfbench's tracer test patches the
 # srdepth.betti.boundary_rank binding, so the import stays.
 from .homology import GF2, FieldSpec, betti_from_sizes, boundary_rank  # noqa: F401
-from .monomials import MonomialIdeal, Polarization, polarize
+from .monomials import MonomialIdeal, edge_ideal
 
 SUBSET_SCAN_LIMIT = 14
 POLARIZED_SCAN_LIMIT = 16
@@ -69,16 +68,15 @@ class BettiTable:
 
 @dataclass(frozen=True)
 class DepthResult:
-    """Depth and projective dimension with the attaining restriction.
+    """Depth and projective dimension with the attaining local cohomology.
 
-    ``witness`` is a (subset mask, homological degree) pair with nonzero
-    reduced homology and pd = |W| - ell - 1; the mask lives in the ring the
-    scan ran in (the enlarged ring for polarized quotients).
+    ``witness`` is (a, ell) with H_ell(Delta_a) != 0 and depth = |G_a| + ell + 1;
+    a has one entry per variable of S, with -1 for every negative a_j.
     """
 
     depth: int
     projective_dimension: int
-    witness: tuple[int, int]
+    witness: tuple[tuple[int, ...], int]
 
 
 def _active_generators(w: int, gen_masks: list[int]) -> tuple[bool, int, int]:
@@ -102,17 +100,16 @@ def guard_subset_scan(n: int, allow_large: bool) -> None:
         raise GuardError(f"subset scan limited to n <= {SUBSET_SCAN_LIMIT}; override to force")
 
 
-def _filtered_sizes(w: int, faces_by_size: list[list[int]], kmax: int) -> list[list[int]]:
+def _filtered_sizes(w: int, faces_by_size: list[list[int]], kmax: int,
+                    masks: tuple[int, ...] = ()) -> list[list[int]]:
+    """Faces inside w that contain none of the masks, grouped by size up to kmax."""
     not_w = ~w
     filt = [[f for f in group if f & not_w == 0] for group in faces_by_size[: kmax + 1]]
+    if masks:
+        filt = [[f for f in group if all(f & m != m for m in masks)] for group in filt]
     while filt and not filt[-1]:
         filt.pop()
     return filt
-
-
-def _complex_scan_data(c: SimplicialComplex) -> tuple[list[int], list[list[int]]]:
-    gen_masks = [mask for mask in stanley_reisner_ideal(c).support_masks()]
-    return gen_masks, c.faces_by_size()
 
 
 def graded_betti_table(c: SimplicialComplex, field: FieldSpec = GF2, *,
@@ -121,7 +118,7 @@ def graded_betti_table(c: SimplicialComplex, field: FieldSpec = GF2, *,
     if c.is_void:
         raise ValueError("the void complex has no Betti table")
     guard_subset_scan(c.n, allow_large)
-    gen_masks, faces_by_size = _complex_scan_data(c)
+    gen_masks, faces_by_size = stanley_reisner_ideal(c).support_masks(), c.faces_by_size()
     entries = {(0, 0): 1}
     for w in range(1, 1 << c.n):
         has, cover, gmin = _active_generators(w, gen_masks)
@@ -136,39 +133,48 @@ def graded_betti_table(c: SimplicialComplex, field: FieldSpec = GF2, *,
     return BettiTable(c.n, entries)
 
 
-def _depth_scan(n: int, gen_masks: list[int], faces_by_size: list[list[int]],
-                field: FieldSpec) -> tuple[int, tuple[int, int]]:
-    """Projective dimension: max |W| - ell - 1 over nonvanishing homology.
+def _takayama_depth(c: SimplicialComplex, ideal: MonomialIdeal, field: FieldSpec) -> DepthResult:
+    """Depth of S/I for c = Delta(sqrt I): the least |G_a| + 1 + ell with H_ell(Delta_a) != 0.
 
-    Scans subset sizes downward; a size-s subset cannot contribute more than
-    s - gmin + 1, which bounds when the scan may stop.
+    G_a runs over the faces of c by increasing size, each a_j off G_a over
+    0 .. rho_j - 1 (rho_j the largest exponent of x_j), and Delta_a keeps the faces
+    of c disjoint from G_a containing no mask {j not in G_a : b_j > a_j}, b a generator.
     """
-    if not gen_masks:
-        return 0, (0, -1)
-    gmin_global = min(m.bit_count() for m in gen_masks)
-    top = len(faces_by_size) - 1
-    best = 0
-    witness = (0, -1)
-    for s in range(n, 0, -1):
-        if best >= s - gmin_global + 1:
-            break
-        for combo in itertools.combinations(range(n), s):
-            w = mask_of(combo)
-            has, cover, gmin = _active_generators(w, gen_masks)
-            if not has or w & ~cover:
-                continue
-            ell_hi = s - best - 2
-            ell_lo = gmin - 2
-            if ell_hi < ell_lo:
-                continue
-            filt = _filtered_sizes(w, faces_by_size, min(top, s, ell_hi + 2))
-            dims = betti_from_sizes(filt, field, ell_lo, ell_hi)
-            if dims:
-                ell = min(dims)
-                if s - ell - 1 > best:
-                    best = s - ell - 1
-                    witness = (w, ell)
-    return best, witness
+    n = c.n
+    if ideal.is_zero():
+        return DepthResult(n, 0, ((-1,) * n, -1))
+    rho = ideal.max_exponents()
+    levels = [[mask_of(j for j, e in enumerate(b) if e > t) for b in ideal.gens] for t in range(max(rho))]
+    forced = mask_of(j for j in range(n) if rho[j] == 0)  # x_j in no generator: a_j < 0
+    faces_by_size = c.faces_by_size()
+    best, witness = n + 1, None
+    for size, group in enumerate(faces_by_size):
+        if size >= best:
+            break  # ell >= -1, so no larger G_a can do better
+        for g in (f for f in group if f & forced == forced):
+            rest = ((1 << n) - 1) & ~g
+            vary = [j for j in bits(rest) if rho[j] > 1]
+            for values in itertools.product(*(range(rho[j]) for j in vary)):
+                raised = dict(zip(vary, values))
+                a = [-1 if g >> j & 1 else raised.get(j, 0) for j in range(n)]
+                masks = [0] * len(ideal.gens)
+                for t, level in enumerate(levels):
+                    at = mask_of(j for j in bits(rest) if a[j] == t)
+                    masks = [m | (lv & at) for m, lv in zip(masks, level)]
+                _, cover, gmin = _active_generators(rest, masks)
+                ell_hi = best - size - 2
+                if gmin == 0 or cover != rest or ell_hi < gmin - 2:
+                    continue  # Delta_a is void or a cone, or cannot beat best
+                # only masks that are faces of c can lie in a face of Delta_a,
+                # and a one-vertex mask just removes its vertex
+                free = rest & ~mask_of(m.bit_length() - 1 for m in masks if m & (m - 1) == 0)
+                inner = tuple(m for m in masks if m & (m - 1) and m in c.faces)
+                dims = betti_from_sizes(_filtered_sizes(free, faces_by_size, ell_hi + 2, inner),
+                                        field, gmin - 2, ell_hi)
+                if dims:
+                    best = size + 1 + min(dims)
+                    witness = (tuple(a), min(dims))
+    return DepthResult(best, n - best, witness)
 
 
 def depth_stanley_reisner(c: SimplicialComplex, field: FieldSpec = GF2, *,
@@ -177,14 +183,13 @@ def depth_stanley_reisner(c: SimplicialComplex, field: FieldSpec = GF2, *,
     if c.is_void:
         raise ValueError("the void complex has no depth")
     guard_subset_scan(c.n, allow_large)
-    gen_masks, faces_by_size = _complex_scan_data(c)
-    pd, witness = _depth_scan(c.n, gen_masks, faces_by_size, field)
-    return DepthResult(c.n - pd, pd, witness)
+    return _takayama_depth(c, stanley_reisner_ideal(c), field)
 
 
 def graph_depth(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> DepthResult:
-    """Depth of the Stanley-Reisner ring of the clique complex of g."""
-    return depth_stanley_reisner(clique_complex(g), field, allow_large=allow_large)
+    """Depth of S/I(G^c): the clique complex's minimal non-faces are the non-edges."""
+    guard_subset_scan(g.n, allow_large)
+    return _takayama_depth(clique_complex(g), edge_ideal(g.complement()), field)
 
 
 def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> int:
@@ -208,23 +213,18 @@ def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = Fal
 
 def depth_monomial_quotient(ideal: MonomialIdeal, field: FieldSpec = GF2, *,
                             allow_large: bool = False) -> DepthResult:
-    """Depth of S/I for a monomial ideal, via polarization.
+    """Depth of S/I for a monomial ideal, on the complex of its radical.
 
-    Polarizes, runs the Stanley-Reisner depth scan in the enlarged ring on
-    the polarized generators (the minimal non-faces of its complex) and
-    subtracts the number of split variables; exact for every monomial ideal
-    and the identity on squarefree ones.
+    The guard counts the variables of the polarization of I, the sum of
+    max(rho_j, 1); this also bounds the number of degrees a scanned by 2^16.
     """
     if ideal.is_unit():
         raise ValueError("the unit ideal quotient is zero; depth undefined")
     if ideal.is_zero():
-        return DepthResult(ideal.num_vars, 0, (0, -1))
-    pol: Polarization = polarize(ideal)
-    m = pol.ideal.num_vars
+        return DepthResult(ideal.num_vars, 0, ((-1,) * ideal.num_vars, -1))
+    m = sum(max(e, 1) for e in ideal.max_exponents())
     if m > POLARIZED_SCAN_LIMIT and not allow_large:
         raise GuardError(
             f"polarized ring has {m} variables, over the {POLARIZED_SCAN_LIMIT} limit; override to force")
-    comp = complex_from_squarefree_ideal(pol.ideal)
-    pd, witness = _depth_scan(m, pol.ideal.support_masks(), comp.faces_by_size(), field)
-    depth = m - pd - pol.new_var_count
-    return DepthResult(depth, ideal.num_vars - depth, witness)
+    radical = MonomialIdeal.from_squarefree_masks(ideal.num_vars, ideal.support_masks())
+    return _takayama_depth(complex_from_squarefree_ideal(radical), ideal, field)

@@ -17,7 +17,7 @@ from typing import Optional
 from . import graphs as gr
 from . import monomials as mono
 from . import verify as ver
-from .betti import depth_monomial_quotient, graded_betti_table, graph_depth, kappa_via_betti
+from .betti import depth_monomial_quotient, graded_betti_table, graph_depth, guard_subset_scan, kappa_via_betti
 from .complexes import clique_complex
 from .graphs import Graph, GuardError, ParseError
 from .homology import FieldSpec
@@ -114,22 +114,25 @@ def render_report(report: ver.VerificationReport, args: argparse.Namespace) -> s
 def cmd_depth(args: argparse.Namespace) -> int:
     g = load_graph(args)
     r = graph_depth(g, field_of(args), allow_large=args.allow_large)
-    w, ell = r.witness
+    a, ell = r.witness
+    face = [j + 1 for j in range(g.n) if a[j] < 0]
     if args.format == "json":
         print(json.dumps({"n": g.n, "depth": r.depth,
                           "projective_dimension": r.projective_dimension,
-                          "witness_subset": [v + 1 for v in gr.bits(w)],
+                          "witness_face": face,
                           "witness_degree": ell}, indent=2))
     else:
         sys.stdout.write(_header(args))
         print(f"depth = {r.depth}")
         print(f"projective dimension = {r.projective_dimension}")
-        print(f"witness: W = {{{', '.join(str(v + 1) for v in gr.bits(w))}}}, degree = {ell}")
+        print(f"witness: F = {{{', '.join(map(str, face))}}}, degree = {ell} "
+              "(reduced homology of lk F; depth = |F| + degree + 1)")
     return 0
 
 
 def cmd_betti(args: argparse.Namespace) -> int:
     g = load_graph(args)
+    guard_subset_scan(g.n, args.allow_large)
     table = graded_betti_table(clique_complex(g), field_of(args), allow_large=args.allow_large)
     if args.format == "json":
         payload = {f"{i},{j}": v for (i, j), v in sorted(table.entries.items())}

@@ -32,6 +32,13 @@ class SimplicialComplex:
                 raise ValueError("face outside the vertex universe")
         if self.faces and 0 not in self.faces:
             raise ValueError("a non-void complex must contain the empty face")
+        for f in self.faces:
+            rest = f
+            while rest:
+                low = rest & -rest
+                if f ^ low not in self.faces:
+                    raise ValueError("faces are not closed under taking subsets")
+                rest ^= low
 
     @classmethod
     def void(cls, n: int) -> "SimplicialComplex":

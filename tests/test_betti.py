@@ -18,10 +18,10 @@ from srdepth.complexes import (
     SimplicialComplex,
     clique_complex,
     complex_from_squarefree_ideal,
-    restrict,
+    link,
     stanley_reisner_ideal,
 )
-from srdepth.graphs import Graph, GuardError, is_chordal, vertex_connectivity
+from srdepth.graphs import Graph, GuardError, is_chordal, mask_of, vertex_connectivity
 from srdepth.homology import GF2, GF3, RATIONAL, reduced_betti
 from srdepth.monomials import MonomialIdeal, edge_ideal, minimalize, parse_ideal, polarize
 from srdepth.verify import construct_example, random_chordal_graph, second_powers
@@ -100,15 +100,15 @@ class TestDepth:
         assert res.depth + res.projective_dimension == g.n
 
     def test_witness_recomputes(self, medium_corpus):
+        # squarefree witness: a = -1 on a face F, 0 elsewhere, and the link of
+        # F has reduced homology in degree ell with depth = |F| + ell + 1
         for g in medium_corpus[:20]:
             res = graph_depth(g)
-            if res.projective_dimension == 0:
-                assert res.witness == (0, -1)
-                continue
-            w, ell = res.witness
-            assert w.bit_count() - ell - 1 == res.projective_dimension
-            r = restrict(clique_complex(g), w)
-            assert reduced_betti(r)[ell] > 0
+            a, ell = res.witness
+            assert len(a) == g.n and set(a) <= {-1, 0}
+            face = mask_of(j for j in range(g.n) if a[j] == -1)
+            assert face.bit_count() + ell + 1 == res.depth
+            assert reduced_betti(link(clique_complex(g), face))[ell] > 0
 
     def test_pruned_scan_matches_full_table(self, medium_corpus):
         for g in medium_corpus[:20]:
@@ -127,8 +127,10 @@ class TestDepth:
             assert graph_depth(g).depth == vertex_connectivity(g).kappa + 1
 
     def test_full_simplex(self):
-        res = depth_stanley_reisner(clique_complex(construct_example("complete", t=3)))
-        assert res == DepthResult(3, 0, (0, -1))
+        c = clique_complex(construct_example("complete", t=3))
+        res = depth_stanley_reisner(c)
+        assert res == DepthResult(3, 0, ((-1, -1, -1), -1))
+        assert reduced_betti(link(c, 0b111))[-1] == 1
 
 
 class TestKappaViaBetti:
@@ -188,8 +190,8 @@ class TestMonomialQuotientDepth:
             depth_monomial_quotient(minimalize(gens, 2))
 
     def test_polarized_generators_are_minimal_nonfaces(self, small_corpus):
-        # the depth scan takes the polarized generators as the complex's
-        # minimal non-faces, so the two sets must agree
+        # the polarization oracle reads Betti numbers off this complex, whose
+        # minimal non-faces must be the polarized generators
         for g in small_corpus[:25]:
             symb, square = second_powers(g)
             for ideal in (symb, square):
@@ -198,10 +200,41 @@ class TestMonomialQuotientDepth:
                 pol = polarize(ideal).ideal
                 assert stanley_reisner_ideal(complex_from_squarefree_ideal(pol)) == pol
 
+    def test_matches_polarized_betti_table(self, small_corpus):
+        # independent oracle: polarization keeps the graded Betti numbers, so
+        # depth S/I = n - pd of the full Hochster table of the polarized complex
+        rng = random.Random(8)
+        ideals = [i for g in small_corpus[:30] if g.n <= 5 for i in second_powers(g) if not i.is_zero()]
+        # depth 1 is attained only at |G_a| = 1 with Delta_a = {emptyset},
+        # after G_a = {} has already given 2
+        ideals.append(parse_ideal("x2*x3*x4\nx2*x3^2\nx2^2*x3\nx1*x3^2*x4\n"))
+        while len(ideals) < 40:
+            n = rng.randint(2, 4)
+            gens = [tuple(rng.choice((0, 1, 2)) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+            ideal = minimalize(gens, n)
+            if not (ideal.is_unit() or ideal.is_squarefree()):
+                ideals.append(ideal)
+        for ideal in ideals:
+            pol = complex_from_squarefree_ideal(polarize(ideal).ideal)
+            for field in (GF2, GF3, RATIONAL):
+                pd = graded_betti_table(pol, field).projective_dimension()
+                assert depth_monomial_quotient(ideal, field).depth == ideal.num_vars - pd, ideal
+
     def test_witness_in_polarized_ring(self):
-        i = parse_ideal("x1^2", num_vars=1)
-        res = depth_monomial_quotient(i)
-        assert res.depth == 0 and res.projective_dimension == 1
-        w, ell = res.witness
-        pol = polarize(i)
-        assert w < (1 << pol.ideal.num_vars)
+        # polarization is only the test oracle: the witness degree a has one
+        # coordinate per variable of S, -1 <= a_j < rho_j, and Delta_a built
+        # from its definition has reduced homology in degree ell
+        ideals = [parse_ideal("x1^2", num_vars=1), parse_ideal("x1^2\nx1*x2\nx2^2\n"),
+                  parse_ideal("x1*x2^2\nx2*x3^3", num_vars=4), *second_powers(C6)]
+        for ideal in ideals:
+            res = depth_monomial_quotient(ideal)
+            a, ell = res.witness
+            n = ideal.num_vars
+            assert len(a) == n < polarize(ideal).ideal.num_vars
+            rho = ideal.max_exponents()
+            assert all(-1 <= a[j] < rho[j] for j in range(n))
+            neg = mask_of(j for j in range(n) if a[j] < 0)
+            faces = {f for f in range(1 << n) if f & neg == 0 and all(
+                any(not (f | neg) >> j & 1 and b[j] > a[j] for j in range(n)) for b in ideal.gens)}
+            assert neg.bit_count() + ell + 1 == res.depth
+            assert reduced_betti(SimplicialComplex(n, frozenset(faces)))[ell] > 0

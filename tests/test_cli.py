@@ -6,6 +6,9 @@ import time
 import pytest
 
 from srdepth.cli import main, resolve_example
+from srdepth.complexes import clique_complex, link
+from srdepth.graphs import mask_of
+from srdepth.homology import reduced_betti
 from srdepth.verify import construct_example
 
 
@@ -52,10 +55,12 @@ class TestDepthCommand:
         code, out, _ = run(capsys, "depth", "--name", "figure1", "--format", "json")
         assert code == 0
         payload = json.loads(out)
+        face, ell = payload["witness_face"], payload["witness_degree"]
         assert payload == {"n": 6, "depth": 4, "projective_dimension": 2,
-                           "witness_subset": payload["witness_subset"],
-                           "witness_degree": payload["witness_degree"]}
-        assert len(payload["witness_subset"]) - payload["witness_degree"] - 1 == 2
+                           "witness_face": face, "witness_degree": ell}
+        assert len(face) + ell + 1 == 4
+        lk = link(clique_complex(resolve_example("figure1")), mask_of(v - 1 for v in face))
+        assert reduced_betti(lk)[ell] > 0
 
     def test_edge_list_input(self, capsys, tmp_path):
         f = tmp_path / "c4.txt"
@@ -68,6 +73,11 @@ class TestDepthCommand:
         f.write_text("EhEG\n")
         code, out, _ = run(capsys, "depth", "--input", str(f))
         assert code == 0 and "depth = 2" in out
+
+    def test_guard_before_clique_complex(self, capsys):
+        (code, _, err), elapsed = run_timed(capsys, "depth", "--name", "k20")
+        assert code == 2 and "subset scan" in err
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("field", ["1000000000000000003", "9" * 40])
     def test_large_field_exit_2_fast(self, capsys, field):
@@ -91,6 +101,11 @@ class TestBettiCommand:
         f.write_text("15\n")
         code, _, err = run(capsys, "betti", "--input", str(f))
         assert code == 2 and "error" in err
+
+    def test_guard_before_clique_complex(self, capsys):
+        (code, _, err), elapsed = run_timed(capsys, "betti", "--name", "k20")
+        assert code == 2 and "subset scan" in err
+        assert elapsed < 1.0
 
     def test_allow_large_header(self, capsys, tmp_path):
         f = tmp_path / "big.txt"

@@ -62,6 +62,10 @@ class TestComplexValue:
         with pytest.raises(ValueError):
             SimplicialComplex(2, frozenset({1}))
 
+    def test_rejects_faces_not_closed_under_subsets(self):
+        with pytest.raises(ValueError, match="subsets"):
+            SimplicialComplex(2, frozenset({0, 0b11}))
+
     def test_downward_closure_constructor(self):
         c = SimplicialComplex.from_faces(3, [mask_of([0, 1, 2])])
         assert len(c.faces) == 8
