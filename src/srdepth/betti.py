@@ -112,13 +112,9 @@ def _filtered_sizes(w: int, faces_by_size: list[list[int]], kmax: int,
     return filt
 
 
-def graded_betti_table(c: SimplicialComplex, field: FieldSpec = GF2, *,
-                       allow_large: bool = False) -> BettiTable:
-    """Exact Betti table by scanning every vertex subset."""
-    if c.is_void:
-        raise ValueError("the void complex has no Betti table")
-    guard_subset_scan(c.n, allow_large)
-    gen_masks, faces_by_size = stanley_reisner_ideal(c).support_masks(), c.faces_by_size()
+def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec) -> BettiTable:
+    """Betti table of K[c] by scanning every vertex subset; gen_masks are c's minimal non-faces."""
+    faces_by_size = c.faces_by_size()
     entries = {(0, 0): 1}
     for w in range(1, 1 << c.n):
         has, cover, gmin = _active_generators(w, gen_masks)
@@ -131,6 +127,21 @@ def graded_betti_table(c: SimplicialComplex, field: FieldSpec = GF2, *,
             key = (j - ell - 1, j)
             entries[key] = entries.get(key, 0) + d
     return BettiTable(c.n, entries)
+
+
+def graded_betti_table(c: SimplicialComplex, field: FieldSpec = GF2, *,
+                       allow_large: bool = False) -> BettiTable:
+    """Exact Betti table by scanning every vertex subset."""
+    if c.is_void:
+        raise ValueError("the void complex has no Betti table")
+    guard_subset_scan(c.n, allow_large)
+    return _hochster_table(c, stanley_reisner_ideal(c).support_masks(), field)
+
+
+def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> BettiTable:
+    """Betti table of S/I(G^c): the clique complex's minimal non-faces are the non-edges."""
+    guard_subset_scan(g.n, allow_large)
+    return _hochster_table(clique_complex(g), edge_ideal(g.complement()).support_masks(), field)
 
 
 def _takayama_depth(c: SimplicialComplex, ideal: MonomialIdeal, field: FieldSpec) -> DepthResult:

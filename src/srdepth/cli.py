@@ -17,8 +17,7 @@ from typing import Optional
 from . import graphs as gr
 from . import monomials as mono
 from . import verify as ver
-from .betti import depth_monomial_quotient, graded_betti_table, graph_depth, guard_subset_scan, kappa_via_betti
-from .complexes import clique_complex
+from .betti import depth_monomial_quotient, graph_betti_table, graph_depth, kappa_via_betti
 from .graphs import Graph, GuardError, ParseError
 from .homology import FieldSpec
 
@@ -52,9 +51,9 @@ def resolve_example(name: str) -> Graph:
 
 
 def load_graph(args: argparse.Namespace) -> Graph:
-    if getattr(args, "name", None):
+    if args.name:
         return resolve_example(args.name)
-    if not getattr(args, "input", None):
+    if not args.input:
         raise ValueError("provide exactly one of --input or --name")
     path = Path(args.input)
     text = path.read_text()
@@ -132,8 +131,7 @@ def cmd_depth(args: argparse.Namespace) -> int:
 
 def cmd_betti(args: argparse.Namespace) -> int:
     g = load_graph(args)
-    guard_subset_scan(g.n, args.allow_large)
-    table = graded_betti_table(clique_complex(g), field_of(args), allow_large=args.allow_large)
+    table = graph_betti_table(g, field_of(args), allow_large=args.allow_large)
     if args.format == "json":
         payload = {f"{i},{j}": v for (i, j), v in sorted(table.entries.items())}
         print(json.dumps(payload, indent=2))
@@ -153,6 +151,7 @@ def cmd_kappa(args: argparse.Namespace) -> int:
         print(json.dumps({"kappa": conn.kappa, "kappa_via_betti": kb,
                           "separator": witness}, indent=2))
     else:
+        sys.stdout.write(_header(args))
         print(f"kappa = {conn.kappa}")
         print(f"kappa via Betti vanishing = {kb}")
         print("separator = " + ("none (complete graph)" if witness is None else str(witness)))
@@ -195,11 +194,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps([r.to_dict(include_timings=args.timings) for r in reports], indent=2))
     elif args.format == "csv":
-        sys.stdout.write(_header(args) + ver.CSV_HEADER + "\n")
+        print(ver.CSV_HEADER)
         for r in reports:
             print(r.csv_row())
     else:
-        sys.stdout.write(_header(args))
         print(f"{len(reports)} graphs verified, all checks passing")
     return 0
 
@@ -241,19 +239,25 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, graph_input: bool = True) -> None:
+def _verb(sub, name: str, func, help: str, formats: tuple[str, ...], *,
+          graph: bool = True, allow_large: bool = True, aliases: tuple[str, ...] = ()
+          ) -> argparse.ArgumentParser:
+    """One subcommand with the options every handler reads, plus those its
+    arguments switch on: a graph source, and the size-guard override."""
+    p = sub.add_parser(name, help=help, aliases=list(aliases))
+    p.set_defaults(func=func)
     p.add_argument("--field", type=int, default=2,
                    help="coefficient field characteristic: a prime, or 0 for exact rationals")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--jobs", type=positive_int, default=1,
-                   help="worker count; output is identical for any value")
-    p.add_argument("--allow-large", action="store_true",
-                   help="override size guards (echoed in the output header)")
-    p.add_argument("--timings", action="store_true", help="include timings in JSON reports")
-    if graph_input:
-        p.add_argument("--input", help="graph file (edge list, or graph6 with .g6 suffix)")
-        p.add_argument("--name", help="built-in example name, e.g. c6, figure1, k5,5, jc5")
+    p.add_argument("--format", choices=formats, default="text")
+    if allow_large:
+        p.add_argument("--allow-large", action="store_true",
+                       help="override size guards (echoed in the output header)")
+    if graph:
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--input", help="graph file (edge list, or graph6 with .g6 suffix)")
+        source.add_argument("--name", help="built-in example name, e.g. c6, figure1, k5,5, jc5")
         p.add_argument("--input-format", choices=("auto", "edge-list", "graph6"), default="auto")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,48 +265,39 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Exact depth/connectivity invariants of "
                                                  "clique complexes and edge ideals")
     sub = parser.add_subparsers(dest="command", required=True)
+    text_json, with_csv = ("text", "json"), ("text", "json", "csv")
+    timings_help = "include timings in JSON reports"
 
-    p = sub.add_parser("depth", help="depth of the clique-complex quotient ring")
-    _add_common(p)
-    p.set_defaults(func=cmd_depth)
+    _verb(sub, "depth", cmd_depth, "depth of the clique-complex quotient ring", text_json)
+    _verb(sub, "betti", cmd_betti, "graded Betti table", with_csv)
+    _verb(sub, "kappa", cmd_kappa, "vertex connectivity, two ways", text_json)
+    _verb(sub, "powers", cmd_powers, "depths of the square and symbolic square", text_json)
 
-    p = sub.add_parser("betti", help="graded Betti table")
-    _add_common(p)
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("kappa", help="vertex connectivity, two ways")
-    _add_common(p)
-    p.set_defaults(func=cmd_kappa)
-
-    p = sub.add_parser("powers", help="depths of the square and symbolic square")
-    _add_common(p)
-    p.set_defaults(func=cmd_powers)
-
-    p = sub.add_parser("verify", aliases=["example"], help="verify every inequality on one graph")
-    _add_common(p)
+    p = _verb(sub, "verify", cmd_verify, "verify every inequality on one graph", with_csv,
+              aliases=("example",))
+    p.add_argument("--jobs", type=positive_int, default=1,
+                   help="worker count; output is identical for any value")
+    p.add_argument("--timings", action="store_true", help=timings_help)
     p.add_argument("--powers", action="store_true", help="include second-power depth checks")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("fuzz", help="seeded random verification campaign")
-    _add_common(p, graph_input=False)
+    p = _verb(sub, "fuzz", cmd_fuzz, "seeded random verification campaign", with_csv,
+              graph=False, allow_large=False)
+    p.add_argument("--timings", action="store_true", help=timings_help)
     p.add_argument("--n", type=int, required=True, help="maximum vertex count")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", choices=("all", "chordal", "powers"), default="all")
-    p.set_defaults(func=cmd_fuzz)
 
-    p = sub.add_parser("search-depth2", help="depth-2 kappa frontier search")
-    _add_common(p, graph_input=False)
+    p = _verb(sub, "search-depth2", cmd_search_depth2, "depth-2 kappa frontier search", text_json,
+              graph=False, allow_large=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=200, help="number of random graphs to try")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_search_depth2)
 
-    p = sub.add_parser("ideal-depth", help="depth of a monomial quotient from an ideal file")
-    _add_common(p, graph_input=False)
+    p = _verb(sub, "ideal-depth", cmd_ideal_depth, "depth of a monomial quotient from an ideal file",
+              text_json, graph=False)
     p.add_argument("--ideal", required=True, help="file with one generator per line, e.g. x1^2*x3")
     p.add_argument("--nvars", type=int, default=None)
-    p.set_defaults(func=cmd_ideal_depth)
 
     return parser
 

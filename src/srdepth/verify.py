@@ -14,9 +14,8 @@ from typing import Optional
 
 from . import graphs as gr
 from . import monomials as mono
-from .betti import GuardError, depth_monomial_quotient, graded_betti_table, graph_depth
+from .betti import GuardError, depth_monomial_quotient, graph_betti_table, graph_depth
 from .betti import guard_subset_scan, kappa_via_betti
-from .complexes import clique_complex
 from .graphs import Graph
 from .homology import GF2, FieldSpec
 
@@ -252,7 +251,7 @@ def verify_graph(g: Graph, field: FieldSpec = GF2, include_powers: bool = False,
         checks.append(Check("depth2_kappa_cap", "skipped", "depth != 2"))
 
     if g.n <= 10:
-        table = graded_betti_table(clique_complex(g), field, allow_large=allow_large)
+        table = graph_betti_table(g, field, allow_large=allow_large)
         expect = g.complement().num_edges()
         got = table[(1, 2)]
         checks.append(Check("beta12_equals_complement_edges", "pass" if got == expect else "fail",

@@ -11,6 +11,7 @@ from srdepth.betti import (
     depth_monomial_quotient,
     depth_stanley_reisner,
     graded_betti_table,
+    graph_betti_table,
     graph_depth,
     kappa_via_betti,
 )
@@ -26,7 +27,7 @@ from srdepth.homology import GF2, GF3, RATIONAL, reduced_betti
 from srdepth.monomials import MonomialIdeal, edge_ideal, minimalize, parse_ideal, polarize
 from srdepth.verify import construct_example, random_chordal_graph, second_powers
 
-from conftest import oracle_betti_table, random_graph
+from conftest import graph_corpus, oracle_betti_table, random_graph
 
 C4 = construct_example("cycle", t=4)
 C6 = construct_example("cycle", t=6)
@@ -81,6 +82,20 @@ class TestBettiTable:
         big = Graph(SUBSET_SCAN_LIMIT + 1, (0,) * (SUBSET_SCAN_LIMIT + 1))
         with pytest.raises(GuardError):
             graded_betti_table(clique_complex(big))
+
+
+class TestGraphBettiTable:
+    @pytest.mark.parametrize("field", [GF2, GF3, RATIONAL], ids=["GF2", "GF3", "QQ"])
+    def test_matches_complex_table(self, field):
+        # the complement's edges stand in for the clique complex's minimal non-faces
+        for g in graph_corpus(seed=41, count=40, n_max=9, n_min=1):
+            assert graph_betti_table(g, field) == graded_betti_table(clique_complex(g), field)
+
+    def test_guard_and_override(self):
+        big = construct_example("complete", t=SUBSET_SCAN_LIMIT + 1)
+        with pytest.raises(GuardError):
+            graph_betti_table(big)
+        assert graph_betti_table(big, allow_large=True).entries == {(0, 0): 1}
 
 
 class TestDepth:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import json
 import time
 
 import pytest
 
-from srdepth.cli import main, resolve_example
+from srdepth.cli import build_parser, main, resolve_example
 from srdepth.complexes import clique_complex, link
 from srdepth.graphs import mask_of
 from srdepth.homology import reduced_betti
@@ -22,6 +23,76 @@ def run_timed(capsys, *argv):
     start = time.perf_counter()
     result = run(capsys, *argv)
     return result, time.perf_counter() - start
+
+
+def verb_options() -> dict[str, list[str]]:
+    """Sorted option strings of every subcommand (aliases included), without --help."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {verb: sorted(o for a in p._actions if not isinstance(a, argparse._HelpAction)
+                         for o in a.option_strings)
+            for verb, p in sub.choices.items()}
+
+
+GRAPH_SOURCE = ["--input", "--input-format", "--name"]
+VERIFY_OPTIONS = sorted(["--allow-large", "--field", "--format", "--jobs", "--powers",
+                         "--timings", *GRAPH_SOURCE])
+
+# A valid argument list for each verb, so that a parse error can only come
+# from the flag under test.
+BASE_ARGV = {
+    "depth": ["--name", "c4"], "betti": ["--name", "c4"], "kappa": ["--name", "c4"],
+    "powers": ["--name", "c4"], "verify": ["--name", "c4"],
+    "fuzz": ["--n", "4", "--count", "1"], "search-depth2": ["--n", "4", "--budget", "1"],
+    "ideal-depth": ["--ideal", "ideal.txt"],
+}
+
+# Options a verb's handler does not read, and formats it cannot print.
+NOT_ACCEPTED = (
+    [(verb, ["--jobs", "2"]) for verb in
+     ("depth", "betti", "kappa", "powers", "fuzz", "search-depth2", "ideal-depth")]
+    + [(verb, ["--timings"]) for verb in
+       ("depth", "betti", "kappa", "powers", "search-depth2", "ideal-depth")]
+    + [(verb, ["--allow-large"]) for verb in ("fuzz", "search-depth2")]
+    + [(verb, ["--format", "csv"]) for verb in
+       ("depth", "kappa", "powers", "search-depth2", "ideal-depth")]
+)
+
+
+class TestParserSurface:
+    def test_options_per_verb(self):
+        assert verb_options() == {
+            "depth": sorted(["--allow-large", "--field", "--format", *GRAPH_SOURCE]),
+            "betti": sorted(["--allow-large", "--field", "--format", *GRAPH_SOURCE]),
+            "kappa": sorted(["--allow-large", "--field", "--format", *GRAPH_SOURCE]),
+            "powers": sorted(["--allow-large", "--field", "--format", *GRAPH_SOURCE]),
+            "verify": VERIFY_OPTIONS,
+            "example": VERIFY_OPTIONS,
+            "fuzz": ["--count", "--field", "--format", "--n", "--profile", "--seed", "--timings"],
+            "search-depth2": ["--budget", "--field", "--format", "--n", "--seed"],
+            "ideal-depth": ["--allow-large", "--field", "--format", "--ideal", "--nvars"],
+        }
+
+    @pytest.mark.parametrize("verb", sorted(BASE_ARGV))
+    def test_base_argv_parses(self, verb):
+        assert build_parser().parse_args([verb, *BASE_ARGV[verb]]).command == verb
+
+    @pytest.mark.parametrize("verb,extra", NOT_ACCEPTED,
+                             ids=[f"{v}{''.join(e)}" for v, e in NOT_ACCEPTED])
+    def test_unread_option_exit_2(self, capsys, verb, extra):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([verb, *BASE_ARGV[verb], *extra])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in extra)
+
+    @pytest.mark.parametrize("verb", ["depth", "betti", "kappa", "powers", "verify"])
+    def test_input_and_name_exit_2(self, capsys, tmp_path, verb):
+        f = tmp_path / "c4.txt"
+        f.write_text("4\n1 2\n2 3\n3 4\n1 4\n")
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--input", str(f), "--name", "c6"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestResolveExample:
@@ -130,6 +201,11 @@ class TestKappaCommand:
         (code, _, err), elapsed = run_timed(capsys, "kappa", "--name", "k12,12")
         assert code == 2 and "subset scan" in err
         assert elapsed < 1.0
+
+    def test_allow_large_header(self, capsys):
+        code, out, _ = run(capsys, "kappa", "--name", "k4", "--allow-large")
+        assert code == 0
+        assert out.startswith("# guard overrides: allow-large\nkappa = 3\n")
 
 
 class TestPowersCommand:
