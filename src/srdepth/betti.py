@@ -20,7 +20,7 @@ from .complexes import SimplicialComplex, clique_complex, complex_from_squarefre
 from .graphs import Graph, GuardError, bits, mask_of
 # boundary_rank is unused here; perfbench's tracer test patches the
 # srdepth.betti.boundary_rank binding, so the import stays.
-from .homology import GF2, FieldSpec, betti_from_sizes, boundary_rank  # noqa: F401
+from .homology import GF2, FaceColumns, FieldSpec, betti_from_sizes, boundary_rank  # noqa: F401
 from .monomials import MonomialIdeal, edge_ideal
 
 SUBSET_SCAN_LIMIT = 14
@@ -100,29 +100,35 @@ def guard_subset_scan(n: int, allow_large: bool) -> None:
         raise GuardError(f"subset scan limited to n <= {SUBSET_SCAN_LIMIT}; override to force")
 
 
-def _filtered_sizes(w: int, faces_by_size: list[list[int]], kmax: int,
-                    masks: tuple[int, ...] = ()) -> list[list[int]]:
-    """Faces inside w that contain none of the masks, grouped by size up to kmax."""
+def _filtered_sizes(w: int, faces: FaceColumns, kmax: int, masks: tuple[int, ...] = ()) -> list[list]:
+    """Boundary columns of the faces inside w that contain none of the masks, by size up to kmax.
+
+    The selected faces form a subcomplex, so the first empty size ends it and
+    no larger size has its columns built.
+    """
     not_w = ~w
-    filt = [[f for f in group if f & not_w == 0] for group in faces_by_size[: kmax + 1]]
-    if masks:
-        filt = [[f for f in group if all(f & m != m for m in masks)] for group in filt]
-    while filt and not filt[-1]:
-        filt.pop()
-    return filt
+    out = []
+    for k, group in enumerate(faces.by_size[: kmax + 1]):
+        inside = [f for f in group if f & not_w == 0]
+        if masks:
+            inside = [f for f in inside if all(f & m != m for m in masks)]
+        if not inside:
+            break
+        column = faces.columns(k)
+        out.append([column[f] for f in inside])
+    return out
 
 
 def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec) -> BettiTable:
     """Betti table of K[c] by scanning every vertex subset; gen_masks are c's minimal non-faces."""
-    faces_by_size = c.faces_by_size()
+    faces = FaceColumns(c.faces_by_size(), field)
     entries = {(0, 0): 1}
     for w in range(1, 1 << c.n):
         has, cover, gmin = _active_generators(w, gen_masks)
         if not has or w & ~cover:
             continue
         j = w.bit_count()
-        filt = _filtered_sizes(w, faces_by_size, j)
-        dims = betti_from_sizes(filt, field, ell_lo=gmin - 2)
+        dims = betti_from_sizes(_filtered_sizes(w, faces, j), field, ell_lo=gmin - 2)
         for ell, d in dims.items():
             key = (j - ell - 1, j)
             entries[key] = entries.get(key, 0) + d
@@ -157,9 +163,11 @@ def _takayama_depth(c: SimplicialComplex, ideal: MonomialIdeal, field: FieldSpec
     rho = ideal.max_exponents()
     levels = [[mask_of(j for j, e in enumerate(b) if e > t) for b in ideal.gens] for t in range(max(rho))]
     forced = mask_of(j for j in range(n) if rho[j] == 0)  # x_j in no generator: a_j < 0
-    faces_by_size = c.faces_by_size()
+    by_size = c.faces_by_size()
+    # every Delta_a avoids G_a, which holds the forced vertices
+    faces = FaceColumns([[f for f in group if f & forced == 0] for group in by_size], field)
     best, witness = n + 1, None
-    for size, group in enumerate(faces_by_size):
+    for size, group in enumerate(by_size):
         if size >= best:
             break  # ell >= -1, so no larger G_a can do better
         for g in (f for f in group if f & forced == forced):
@@ -180,7 +188,7 @@ def _takayama_depth(c: SimplicialComplex, ideal: MonomialIdeal, field: FieldSpec
                 # and a one-vertex mask just removes its vertex
                 free = rest & ~mask_of(m.bit_length() - 1 for m in masks if m & (m - 1) == 0)
                 inner = tuple(m for m in masks if m & (m - 1) and m in c.faces)
-                dims = betti_from_sizes(_filtered_sizes(free, faces_by_size, ell_hi + 2, inner),
+                dims = betti_from_sizes(_filtered_sizes(free, faces, ell_hi + 2, inner),
                                         field, gmin - 2, ell_hi)
                 if dims:
                     best = size + 1 + min(dims)
@@ -213,7 +221,7 @@ def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = Fal
     if g.n < 2:
         raise ValueError("kappa via Betti numbers needs n >= 2")
     guard_subset_scan(g.n, allow_large)
-    skeleton = clique_complex(g).faces_by_size()[:3]
+    skeleton = FaceColumns(clique_complex(g).faces_by_size()[:3], field)
     for k in range(g.n - 1):
         for combo in itertools.combinations(range(g.n), k):
             rest = g.full_mask & ~mask_of(combo)

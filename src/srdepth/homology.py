@@ -5,6 +5,13 @@ Faces with k vertices have dimension k - 1; the empty face is the single
 size-0 face and the augmentation map realizes reduced homology.  Boundary
 signs follow lexicographic face order and removed-vertex position; any
 consistent convention yields the same ranks.
+
+``FaceColumns`` builds each face's boundary column once per complex, the
+first time a scan reads its size, with rows indexed in the whole complex's
+group of faces one vertex smaller.  A subcomplex (the faces inside a vertex
+set, possibly minus those containing given masks) selects its columns as
+they are: every row such a column touches is a face of the subcomplex, so
+only the rank step runs per subcomplex.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .complexes import SimplicialComplex
-from .graphs import bits
 
 
 # Trial division up to the square root of this bound stays in milliseconds.
@@ -96,11 +102,10 @@ def rank_sparse(columns: Sequence[dict[int, int]], characteristic: int) -> int:
     pivots: dict[int, dict] = {}
     rank = 0
     for col in columns:
-        work = dict(col)
         if p:
-            work = {r: c % p for r, c in work.items() if c % p}
+            work = {r: c % p for r, c in col.items() if c % p}
         else:
-            work = {r: Fraction(c) for r, c in work.items() if c}
+            work = {r: Fraction(c) for r, c in col.items() if c}
         while work:
             r = max(work)
             c = work.pop(r)
@@ -128,58 +133,72 @@ def boundary_columns(faces_k: Sequence[int], faces_km1: Sequence[int], character
     For GF(2) returns integer bitmask columns, otherwise {row: sign} dicts.
     """
     row_index = {f: i for i, f in enumerate(faces_km1)}
+    cols = []
     if characteristic == 2:
-        cols = []
         for f in faces_k:
-            col = 0
-            for v in bits(f):
-                col |= 1 << row_index[f ^ (1 << v)]
+            col, rest = 0, f
+            while rest:
+                low = rest & -rest
+                col |= 1 << row_index[f ^ low]
+                rest ^= low
             cols.append(col)
         return cols
-    cols = []
     for f in faces_k:
-        col = {}
-        for pos, v in enumerate(bits(f)):
-            col[row_index[f ^ (1 << v)]] = -1 if pos % 2 else 1
+        col, rest, sign = {}, f, 1
+        while rest:  # vertices in ascending order, signs alternating from +1
+            low = rest & -rest
+            col[row_index[f ^ low]] = sign
+            sign = -sign
+            rest ^= low
         cols.append(col)
     return cols
 
 
-def boundary_rank(faces_k: Sequence[int], faces_km1: Sequence[int], field: FieldSpec) -> int:
-    if not faces_k or not faces_km1:
+class FaceColumns:
+    """Faces of one complex grouped by size, with boundary columns built per size on first read."""
+
+    def __init__(self, faces_by_size: Sequence[Sequence[int]], field: FieldSpec) -> None:
+        self.by_size = faces_by_size
+        self.field = field
+        self._columns: dict[int, dict] = {}
+
+    def columns(self, k: int) -> dict:
+        """Boundary column of each size-k face, keyed by the face; rows index the size-(k-1) faces."""
+        cols = self._columns.get(k)
+        if cols is None:
+            group, below = self.by_size[k], self.by_size[k - 1] if k else ()
+            cols = self._columns[k] = dict(zip(group, boundary_columns(group, below, self.field.characteristic)))
+        return cols
+
+
+def boundary_rank(columns: Sequence, field: FieldSpec) -> int:
+    if not columns:
         return 0
-    cols = boundary_columns(faces_k, faces_km1, field.characteristic)
     if field.characteristic == 2:
-        return rank_gf2(cols)
-    return rank_sparse(cols, field.characteristic)
+        return rank_gf2(columns)
+    return rank_sparse(columns, field.characteristic)
 
 
-def betti_from_sizes(faces_by_size: Sequence[Sequence[int]], field: FieldSpec,
+def betti_from_sizes(columns_by_size: Sequence[Sequence], field: FieldSpec,
                      ell_lo: int = -1, ell_hi: Optional[int] = None) -> dict[int, int]:
-    """Reduced homology dimensions from faces grouped by vertex count.
+    """Reduced homology dimensions from boundary columns grouped by face size.
 
-    Only degrees in [ell_lo, ell_hi] are computed; dim H_ell equals
-    f_{ell+1} - rank d_{ell+1} - rank d_{ell+2}.
+    f_k is the length of group k.  Only degrees in [ell_lo, ell_hi] are
+    computed; dim H_ell equals f_{ell+1} - rank d_{ell+1} - rank d_{ell+2}.
     """
-    top = len(faces_by_size) - 1
+    top = len(columns_by_size) - 1
     if ell_hi is None:
         ell_hi = top - 1
     ell_hi = min(ell_hi, top - 1)
     if ell_hi < ell_lo:
         return {}
-    counts = [len(group) for group in faces_by_size]
-
-    def group(k: int) -> Sequence[int]:
-        return faces_by_size[k] if 0 <= k <= top else ()
-
     ranks: dict[int, int] = {}
-    for k in range(max(ell_lo + 1, 1), ell_hi + 3):
-        ranks[k] = boundary_rank(group(k), group(k - 1), field)
+    for k in range(max(ell_lo + 1, 1), min(ell_hi + 2, top) + 1):
+        ranks[k] = boundary_rank(columns_by_size[k], field)
     dims = {}
     for ell in range(ell_lo, ell_hi + 1):
         k = ell + 1
-        f = counts[k] if k <= top else 0
-        d = f - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        d = len(columns_by_size[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         if d:
             dims[ell] = d
     return dims
@@ -189,4 +208,6 @@ def reduced_betti(c: SimplicialComplex, field: FieldSpec = GF2) -> BettiVector:
     """Reduced Betti numbers; void -> all zero, {emptyset} -> H_{-1} = 1."""
     if c.is_void:
         return BettiVector({})
-    return BettiVector(betti_from_sizes(c.faces_by_size(), field))
+    faces = FaceColumns(c.faces_by_size(), field)
+    grouped = [list(faces.columns(k).values()) for k in range(len(faces.by_size))]
+    return BettiVector(betti_from_sizes(grouped, field))

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from srdepth import betti, homology
 from srdepth.betti import (
     SUBSET_SCAN_LIMIT,
     BettiTable,
@@ -146,6 +150,88 @@ class TestDepth:
         res = depth_stanley_reisner(c)
         assert res == DepthResult(3, 0, ((-1, -1, -1), -1))
         assert reduced_betti(link(c, 0b111))[-1] == 1
+
+
+def _record_column_builds(monkeypatch) -> tuple[list[int], set[int]]:
+    """Face sizes whose boundary columns get built, and sizes the scans read."""
+    built: list[int] = []
+    read: set[int] = set()
+    build, scan = homology.boundary_columns, betti.betti_from_sizes
+
+    def counting_build(faces_k, faces_km1, characteristic):
+        built.append(faces_k[0].bit_count() if faces_k else -1)
+        return build(faces_k, faces_km1, characteristic)
+
+    def recording_scan(columns_by_size, *args):
+        read.update(range(len(columns_by_size)))
+        return scan(columns_by_size, *args)
+
+    monkeypatch.setattr(homology, "boundary_columns", counting_build)
+    monkeypatch.setattr(betti, "betti_from_sizes", recording_scan)
+    return built, read
+
+
+# K6 joined with two disjoint triangles: the clique complex has 9-vertex faces
+K6_JOIN_TRIANGLES = Graph.from_edges(12, [(u, v) for u, v in itertools.combinations(range(12), 2)
+                                          if u < 6 or (u < 9) == (v < 9)])
+
+
+class TestLazyColumns:
+    def test_depth_skips_the_large_faces(self, monkeypatch):
+        # every scanned G_a holds the six universal vertices, so only faces of
+        # the two triangles get columns, and their link gives depth 6 + 0 + 1
+        g = K6_JOIN_TRIANGLES
+        assert len(clique_complex(g).faces_by_size()) == 10
+        built, read = _record_column_builds(monkeypatch)
+        for field in (GF2, GF3):
+            built.clear()
+            read.clear()
+            assert graph_depth(g, field).depth == 7
+            assert built == [0, 1, 2, 3] and read == {0, 1, 2, 3}
+
+    def test_each_size_built_once_and_read(self, monkeypatch):
+        rng = random.Random(17)
+        graphs = [random_graph(rng, 11, p) for p in (0.7, 0.8, 0.9) for _ in range(3)]
+        built, read = _record_column_builds(monkeypatch)
+        for g in graphs:
+            built.clear()
+            read.clear()
+            graph_depth(g, GF3)
+            assert len(built) == len(set(built)) and set(built) == read
+
+    def test_kappa_builds_the_two_skeleton_once(self, monkeypatch):
+        built, _ = _record_column_builds(monkeypatch)
+        assert kappa_via_betti(K6_JOIN_TRIANGLES) == 6
+        assert sorted(built) == [0, 1, 2]
+
+
+@st.composite
+def small_graphs(draw, n_max=7):
+    n = draw(st.integers(min_value=1, max_value=n_max))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, chosen)
+
+
+class TestDepthRoutes:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(small_graphs())
+    def test_engine_matches_hochster_table(self, g):
+        for field in (GF2, GF3, RATIONAL):
+            assert graph_depth(g, field).depth == g.n - graph_betti_table(g, field).projective_dimension()
+
+    # the polarization oracle scans all 2^m vertex subsets of an m-variable
+    # ring, and I(G^c)^2 needs up to 2n variables (about 25 s at n = 7)
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(small_graphs(n_max=5))
+    def test_square_matches_polarized_table(self, g):
+        square = second_powers(g)[1]
+        if square.is_zero():
+            return
+        pol = complex_from_squarefree_ideal(polarize(square).ideal)
+        for field in (GF2, GF3, RATIONAL):
+            pd = graded_betti_table(pol, field).projective_dimension()
+            assert depth_monomial_quotient(square, field).depth == g.n - pd
 
 
 class TestKappaViaBetti:

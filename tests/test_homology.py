@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from srdepth.betti import _filtered_sizes
 from srdepth.complexes import SimplicialComplex, clique_complex, restrict
 from srdepth.graphs import Graph, bits, mask_of
 from srdepth.homology import (
@@ -12,6 +13,7 @@ from srdepth.homology import (
     GF3,
     RATIONAL,
     BettiVector,
+    FaceColumns,
     FieldSpec,
     betti_from_sizes,
     boundary_rank,
@@ -160,12 +162,14 @@ class TestBoundaryMatrix:
 
 class TestBoundaryRank:
     def test_c6_edge_boundary_gf3(self):
-        grouped = clique_complex(C6).faces_by_size()
-        assert boundary_rank(grouped[2], grouped[1], GF3) == 5
+        faces = FaceColumns(clique_complex(C6).faces_by_size(), GF3)
+        assert boundary_rank(list(faces.columns(2).values()), GF3) == 5
 
     def test_empty_inputs(self):
-        assert boundary_rank([], [1, 2], GF2) == 0
-        assert boundary_rank([3], [], GF2) == 0
+        for field in (GF2, GF3, RATIONAL):
+            assert boundary_rank([], field) == 0
+        assert boundary_rank([0, 0], GF2) == 0
+        assert boundary_rank([{}, {}], GF3) == 0
 
 
 class TestReducedBetti:
@@ -216,15 +220,56 @@ class TestReducedBetti:
 
     def test_window_consistency(self, small_corpus):
         for g in small_corpus[:10]:
-            grouped = clique_complex(g).faces_by_size()
-            full = betti_from_sizes(grouped, GF2)
-            for lo, hi in ((-1, 0), (0, 1), (1, 3)):
-                window = betti_from_sizes(grouped, GF2, ell_lo=lo, ell_hi=hi)
-                assert window == {k: v for k, v in full.items() if lo <= k <= hi}
+            for field in (GF2, GF3):
+                faces = FaceColumns(clique_complex(g).faces_by_size(), field)
+                grouped = [list(faces.columns(k).values()) for k in range(len(faces.by_size))]
+                full = betti_from_sizes(grouped, field)
+                for lo, hi in ((-1, 0), (0, 1), (1, 3)):
+                    window = betti_from_sizes(grouped, field, ell_lo=lo, ell_hi=hi)
+                    assert window == {k: v for k, v in full.items() if lo <= k <= hi}
 
     def test_empty_window(self):
-        grouped = clique_complex(C6).faces_by_size()
+        faces = FaceColumns(clique_complex(C6).faces_by_size(), GF2)
+        grouped = [list(faces.columns(k).values()) for k in range(len(faces.by_size))]
         assert betti_from_sizes(grouped, GF2, ell_lo=3, ell_hi=1) == {}
+
+
+class TestGlobalColumns:
+    """Columns indexed in the whole complex give every subcomplex's homology."""
+
+    def test_selected_columns_match_restriction(self):
+        # seeded clique complexes and non-flag complexes, random W and masks
+        rng = random.Random(21)
+        complexes = [clique_complex(random_graph(rng, rng.randint(3, 8), rng.choice((0.4, 0.6, 0.8))))
+                     for _ in range(12)]
+        for _ in range(12):
+            n = rng.randint(3, 8)
+            facets = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 6))]
+            complexes.append(SimplicialComplex.from_faces(n, facets))
+        for c in complexes:
+            full = (1 << c.n) - 1
+            subsets = [0, 1 << rng.randrange(c.n), full] + [rng.randrange(1 << c.n) for _ in range(6)]
+            for field in (GF2, GF3, RATIONAL):
+                faces = FaceColumns(c.faces_by_size(), field)
+                for w in subsets:
+                    verts = list(bits(w))
+                    mask_sets = [()]
+                    if verts:
+                        mask_sets += [tuple(mask_of(rng.sample(verts, rng.randint(1, min(3, len(verts)))))
+                                            for _ in range(rng.randint(1, 3))) for _ in range(2)]
+                    for masks in mask_sets:
+                        sub = SimplicialComplex(c.n, frozenset(
+                            f for f in c.faces if f & ~w == 0 and all(f & m != m for m in masks)))
+                        expected = reduced_betti(restrict(sub, w), field)
+                        got = betti_from_sizes(_filtered_sizes(w, faces, c.n, masks), field)
+                        assert BettiVector(got) == expected, (c, w, masks, field)
+
+    def test_empty_and_one_vertex_subsets(self):
+        c = clique_complex(C6)
+        for field in (GF2, GF3, RATIONAL):
+            faces = FaceColumns(c.faces_by_size(), field)
+            assert betti_from_sizes(_filtered_sizes(0, faces, c.n), field) == {-1: 1}
+            assert betti_from_sizes(_filtered_sizes(1 << 4, faces, c.n), field) == {}
 
 
 def _component_count(g: Graph) -> int:
