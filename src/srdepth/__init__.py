@@ -1,5 +1,9 @@
 """Exact invariants of clique complexes and edge ideals: graded Betti
 tables, depth, vertex connectivity, second powers, and a verification CLI.
+
+The package holds what the ``sr-depth`` CLI runs, plus the Stanley-Reisner
+and polarization routes that the benchmark's tracer names; oracles that only
+the tests use live in ``tests/helpers.py``.
 """
 
 from .graphs import (
@@ -17,12 +21,9 @@ from .complexes import (
     SimplicialComplex,
     clique_complex,
     complex_from_squarefree_ideal,
-    is_cone,
-    link,
-    restrict,
     stanley_reisner_ideal,
 )
-from .homology import GF2, GF3, RATIONAL, BettiVector, FieldSpec, reduced_betti
+from .homology import GF2, GF3, RATIONAL, FieldSpec
 from .betti import (
     BettiTable,
     DepthResult,
@@ -35,8 +36,6 @@ from .betti import (
 from .monomials import (
     MonomialIdeal,
     Polarization,
-    colon,
-    colon_square_structure,
     edge_ideal,
     intersection,
     minimalize,
@@ -54,7 +53,6 @@ from .verify import (
     bounds,
     construct_example,
     fuzz_campaign,
-    lemma_arithmetic,
     search_depth2,
     verify_graph,
 )

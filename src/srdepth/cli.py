@@ -18,7 +18,7 @@ from . import graphs as gr
 from . import monomials as mono
 from . import verify as ver
 from .betti import depth_monomial_quotient, graph_betti_table, graph_depth, kappa_via_betti
-from .graphs import Graph, GuardError, ParseError
+from .graphs import Graph
 from .homology import FieldSpec
 
 _EXAMPLE_RE = re.compile(r"^(c|p|k|jc)(\d+(?:,\d+)*)$")
@@ -232,11 +232,16 @@ def cmd_ideal_depth(args: argparse.Namespace) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(low: int, name: str = "int"):
+    """argparse type for an integer flag with a lower bound; usage errors
+    call a non-integer an invalid ``name`` value."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = name
+    return parse
 
 
 def _verb(sub, name: str, func, help: str, formats: tuple[str, ...], *,
@@ -275,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _verb(sub, "verify", cmd_verify, "verify every inequality on one graph", with_csv,
               aliases=("example",))
-    p.add_argument("--jobs", type=positive_int, default=1,
+    p.add_argument("--jobs", type=int_at_least(1, "positive_int"), default=1,
                    help="worker count; output is identical for any value")
     p.add_argument("--timings", action="store_true", help=timings_help)
     p.add_argument("--powers", action="store_true", help="include second-power depth checks")
@@ -283,15 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = _verb(sub, "fuzz", cmd_fuzz, "seeded random verification campaign", with_csv,
               graph=False, allow_large=False)
     p.add_argument("--timings", action="store_true", help=timings_help)
-    p.add_argument("--n", type=int, required=True, help="maximum vertex count")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--n", type=int_at_least(2), required=True, help="maximum vertex count")
+    p.add_argument("--count", type=int_at_least(0), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", choices=("all", "chordal", "powers"), default="all")
 
     p = _verb(sub, "search-depth2", cmd_search_depth2, "depth-2 kappa frontier search", text_json,
               graph=False, allow_large=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=200, help="number of random graphs to try")
+    p.add_argument("--n", type=int_at_least(2), required=True)
+    p.add_argument("--budget", type=int_at_least(0), default=200, help="number of random graphs to try")
     p.add_argument("--seed", type=int, default=0)
 
     p = _verb(sub, "ideal-depth", cmd_ideal_depth, "depth of a monomial quotient from an ideal file",
@@ -307,10 +312,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, GuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and GuardError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .graphs import Graph, GuardError, bits, mask_of
 from .monomials import MonomialIdeal
@@ -83,17 +83,6 @@ class SimplicialComplex:
             group.sort()
         return grouped
 
-    def has_face(self, mask: int) -> bool:
-        return mask in self.faces
-
-    def dump(self) -> str:
-        """Debug format: one face per line, 1-based, grouped by dimension."""
-        lines = []
-        for k, group in enumerate(self.faces_by_size()):
-            for f in group:
-                lines.append(" ".join(str(v + 1) for v in bits(f)) if k else "()")
-        return "\n".join(lines) + "\n"
-
 
 def clique_complex(g: Graph) -> SimplicialComplex:
     """All cliques of g, including the empty face and all singletons."""
@@ -109,34 +98,6 @@ def clique_complex(g: Graph) -> SimplicialComplex:
 
     expand(0, g.full_mask)
     return SimplicialComplex(g.n, frozenset(faces))
-
-
-def restrict(c: SimplicialComplex, w: int) -> SimplicialComplex:
-    """Faces contained in w, re-indexed to the universe w."""
-    verts = tuple(bits(w))
-    index = {v: i for i, v in enumerate(verts)}
-    out = set()
-    for f in c.faces:
-        if f & ~w == 0:
-            out.add(mask_of(index[v] for v in bits(f)))
-    return SimplicialComplex(len(verts), frozenset(out))
-
-
-def link(c: SimplicialComplex, sigma: int) -> SimplicialComplex:
-    """Faces disjoint from sigma whose union with sigma is a face."""
-    if sigma not in c.faces:
-        raise ValueError("link of a non-face")
-    out = frozenset(f ^ sigma for f in c.faces if f & sigma == sigma)
-    return SimplicialComplex(c.n, out)
-
-
-def is_cone(c: SimplicialComplex) -> Optional[int]:
-    """Smallest apex vertex (sigma + apex is a face for every face), if any."""
-    for v in range(c.n):
-        b = 1 << v
-        if all((f | b) in c.faces for f in c.faces):
-            return v
-    return None
 
 
 def stanley_reisner_ideal(c: SimplicialComplex) -> MonomialIdeal:

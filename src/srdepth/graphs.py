@@ -90,12 +90,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def open_neighborhood(self, v: int) -> int:
-        return self.adj[v]
-
     def closed_neighborhood(self, v: int) -> int:
         return self.adj[v] | (1 << v)
 
@@ -105,19 +99,6 @@ class Graph:
     def complement(self) -> "Graph":
         full = self.full_mask
         return Graph(self.n, tuple((full ^ row ^ (1 << v)) for v, row in enumerate(self.adj)))
-
-    def induced_subgraph(self, keep: int) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph on ``keep``, re-indexed; returns (graph, old labels)."""
-        verts = tuple(bits(keep))
-        index = {v: i for i, v in enumerate(verts)}
-        adj = [0] * len(verts)
-        for v in verts:
-            for u in bits(self.adj[v] & keep):
-                adj[index[v]] |= 1 << index[u]
-        return Graph(len(verts), tuple(adj)), verts
-
-    def delete_vertices(self, drop: int) -> tuple["Graph", tuple[int, ...]]:
-        return self.induced_subgraph(self.full_mask & ~drop)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .complexes import SimplicialComplex
-
 
 # Trial division up to the square root of this bound stays in milliseconds.
 FIELD_LIMIT = 1 << 31
@@ -53,28 +51,6 @@ class FieldSpec:
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 RATIONAL = FieldSpec(0)
-
-
-@dataclass(frozen=True)
-class BettiVector:
-    """dims[ell] = dim of reduced homology in degree ell (absent = 0)."""
-
-    dims: dict[int, int]
-
-    def __getitem__(self, ell: int) -> int:
-        return self.dims.get(ell, 0)
-
-    def total(self) -> int:
-        return sum(self.dims.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BettiVector):
-            return NotImplemented
-        keys = set(self.dims) | set(other.dims)
-        return all(self[k] == other[k] for k in keys)
-
-    def __hash__(self) -> int:  # pragma: no cover - dict field, unhashable anyway
-        raise TypeError("BettiVector is not hashable")
 
 
 def rank_gf2(columns: Sequence[int]) -> int:
@@ -203,11 +179,3 @@ def betti_from_sizes(columns_by_size: Sequence[Sequence], field: FieldSpec,
             dims[ell] = d
     return dims
 
-
-def reduced_betti(c: SimplicialComplex, field: FieldSpec = GF2) -> BettiVector:
-    """Reduced Betti numbers; void -> all zero, {emptyset} -> H_{-1} = 1."""
-    if c.is_void:
-        return BettiVector({})
-    faces = FaceColumns(c.faces_by_size(), field)
-    grouped = [list(faces.columns(k).values()) for k in range(len(faces.by_size))]
-    return BettiVector(betti_from_sizes(grouped, field))

@@ -1,5 +1,5 @@
-"""Exact monomial-ideal arithmetic: minimal generators, products, colon
-ideals, intersections, symbolic squares of edge ideals, polarization.
+"""Exact monomial-ideal arithmetic: minimal generators, products,
+intersections, symbolic squares of edge ideals, polarization.
 
 A monomial is an exponent tuple of length ``num_vars``.  An ideal is kept
 as its unique minimal (divisibility-antichain) generating set, sorted.
@@ -30,11 +30,6 @@ def mul(a: Monomial, b: Monomial) -> Monomial:
 
 def lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def quotient(a: Monomial, b: Monomial) -> Monomial:
-    """a / gcd(a, b), the colon of principal monomials."""
-    return tuple(max(x - y, 0) for x, y in zip(a, b))
 
 
 def degree(a: Monomial) -> int:
@@ -88,12 +83,6 @@ class MonomialIdeal:
     def is_squarefree(self) -> bool:
         return all(e <= 1 for g in self.gens for e in g)
 
-    def contains(self, m: Monomial) -> bool:
-        return any(divides(g, m) for g in self.gens)
-
-    def is_subideal_of(self, other: "MonomialIdeal") -> bool:
-        return all(other.contains(g) for g in self.gens)
-
     def support_masks(self) -> list[int]:
         return [support_mask(g) for g in self.gens]
 
@@ -133,13 +122,6 @@ def power(a: MonomialIdeal, m: int) -> MonomialIdeal:
     for _ in range(m - 1):
         out = product(out, a)
     return out
-
-
-def colon(a: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    """(a : m), exact for monomial ideals via per-generator division."""
-    if len(m) != a.num_vars:
-        raise ValueError("monomial lives in a different ring")
-    return minimalize([quotient(g, m) for g in a.gens], a.num_vars)
 
 
 def intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -229,43 +211,6 @@ def polarize(a: MonomialIdeal) -> Polarization:
     return Polarization(pol, big_n - a.num_vars, tuple(var_map))
 
 
-def depolarize_generator(p: Polarization, g: Monomial) -> Monomial:
-    """Collapse split copies of a polarized generator back to the source ring."""
-    out = [0] * len(p.var_map)
-    for i, copies in enumerate(p.var_map):
-        out[i] = sum(g[j] for j in copies)
-    return tuple(out)
-
-
-def colon_square_structure(g_c: Graph, a: int, i: int, j: int) -> MonomialIdeal:
-    """Structural form of (I(g_c - a)^2 : x_i x_j).
-
-    Returns the edge ideal of g_c - a, plus the cross products of the two
-    neighborhoods, plus the squares of the common neighbors; equality with
-    the generic colon is a tested identity, not an assumption.
-    """
-    if not g_c.has_edge(i, j):
-        raise ValueError("{i, j} must be an edge")
-    if a >> i & 1 or a >> j & 1:
-        raise ValueError("endpoints may not be removed")
-    if a & ~(g_c.adj[i] | g_c.adj[j]):
-        raise ValueError("removed set must lie in the union of the two neighborhoods")
-    n = g_c.n
-    keep = g_c.full_mask & ~a
-    ni = g_c.adj[i] & keep
-    nj = g_c.adj[j] & keep
-    gens = list(edge_ideal(g_c, exclude=a).gens)
-    for p in bits(ni):
-        for q in bits(nj):
-            if p != q:
-                gens.append(mul(monomial_from_mask(n, 1 << p), monomial_from_mask(n, 1 << q)))
-    for k in bits(ni & nj):
-        e = [0] * n
-        e[k] = 2
-        gens.append(tuple(e))
-    return minimalize(gens, n)
-
-
 _TERM_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
@@ -285,7 +230,7 @@ def parse_ideal(text: str, num_vars: int | None = None) -> MonomialIdeal:
         if line == "1":
             raw_gens.append({})
             continue
-        if line == "0":  # zero ideal marker, round-trips with format_ideal
+        if line == "0":  # zero ideal marker
             continue
         exps: dict[int, int] = {}
         for term in line.split("*"):
@@ -304,20 +249,3 @@ def parse_ideal(text: str, num_vars: int | None = None) -> MonomialIdeal:
     gens = [tuple(e.get(i, 0) for i in range(n)) for e in raw_gens]
     return minimalize(gens, n)
 
-
-def format_monomial(m: Monomial) -> str:
-    if not any(m):
-        return "1"
-    parts = []
-    for i, e in enumerate(m):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    return "*".join(parts)
-
-
-def format_ideal(a: MonomialIdeal) -> str:
-    if a.is_zero():
-        return "0\n"
-    return "\n".join(format_monomial(g) for g in a.gens) + "\n"

@@ -5,11 +5,9 @@ frontier search.
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Optional
 
 from . import graphs as gr
@@ -54,19 +52,6 @@ def bounds(n: int, k: int) -> BoundSet:
         lower_square=base - 1,
         depth2_kappa_cap=(2 * n - 2) // 3,
     )
-
-
-def lemma_arithmetic(n: int, k: int) -> bool:
-    """Exact-rational check that 3k - 2n + 3 >= k / (2(n-k-1)) - 1.
-
-    Defined for 0 <= k <= n - 2 with k > (2n-2)/3; always true there, so a
-    False return is a suite failure.
-    """
-    if not 0 <= k <= n - 2:
-        raise ValueError(f"need 0 <= k <= n - 2, got (n, k) = ({n}, {k})")
-    if 3 * k <= 2 * n - 2:
-        raise ValueError(f"need k > (2n-2)/3, got (n, k) = ({n}, {k})")
-    return Fraction(3 * k - 2 * n + 3) >= Fraction(k, 2 * (n - k - 1)) - 1
 
 
 def construct_example(name: str, **params: int) -> Graph:
@@ -114,9 +99,6 @@ class Check:
     status: str  # pass | fail | skipped
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "detail": self.detail}
-
 
 @dataclass
 class VerificationReport:
@@ -136,30 +118,11 @@ class VerificationReport:
         return all(c.status != "fail" for c in self.checks)
 
     def to_dict(self, include_timings: bool = False) -> dict:
-        out = {
-            "n": self.n,
-            "edge_count": self.edge_count,
-            "kappa": self.kappa,
-            "is_chordal": self.is_chordal,
-            "depth": self.depth,
-            "depth_symbolic_square": self.depth_symbolic_square,
-            "depth_square": self.depth_square,
-            "bounds": None if self.bounds is None else {
-                "upper": self.bounds.upper,
-                "lower_depth": self.bounds.lower_depth,
-                "lower_symbolic": self.bounds.lower_symbolic,
-                "lower_square": self.bounds.lower_square,
-                "depth2_kappa_cap": self.bounds.depth2_kappa_cap,
-            },
-            "checks": [c.to_dict() for c in self.checks],
-            "field_characteristic": self.field_characteristic,
-        }
+        out = asdict(self)
+        timings = out.pop("timings")
         if include_timings:
-            out["timings"] = {k: round(v, 6) for k, v in self.timings.items()}
+            out["timings"] = {k: round(v, 6) for k, v in timings.items()}
         return out
-
-    def to_json(self, include_timings: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timings), indent=2)
 
     def csv_row(self) -> str:
         return ",".join(str(x) for x in (

@@ -19,10 +19,11 @@ from srdepth.cli import main
 from srdepth.complexes import clique_complex, complex_from_squarefree_ideal
 from srdepth.graphs import Graph, bits, vertex_connectivity, vertex_connectivity_bruteforce
 from srdepth.homology import GF2, GF3, RATIONAL
-from srdepth.monomials import colon, colon_square_structure, edge_ideal, minimalize, mul, power, symbolic_power
-from srdepth.verify import construct_example, fuzz_campaign, lemma_arithmetic
+from srdepth.monomials import edge_ideal, minimalize, mul, power, symbolic_power
+from srdepth.verify import construct_example, fuzz_campaign
 
 from conftest import graph_corpus, random_graph
+from helpers import colon, colon_square_structure, lemma_arithmetic
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -7,10 +7,11 @@ import time
 import pytest
 
 from srdepth.cli import build_parser, main, resolve_example
-from srdepth.complexes import clique_complex, link
+from srdepth.complexes import clique_complex
 from srdepth.graphs import mask_of
-from srdepth.homology import reduced_betti
 from srdepth.verify import construct_example
+
+from helpers import link, reduced_betti
 
 
 def run(capsys, *argv):
@@ -57,6 +58,15 @@ NOT_ACCEPTED = (
        ("depth", "kappa", "powers", "search-depth2", "ideal-depth")]
 )
 
+# (verb, flag, smallest accepted value, a value below it)
+NUMBER_FLOORS = [("fuzz", "--n", 2, "1"), ("fuzz", "--count", 0, "-4"),
+                 ("search-depth2", "--n", 2, "0"), ("search-depth2", "--budget", 0, "-1")]
+
+
+def with_value(argv: list[str], flag: str, value: str) -> list[str]:
+    i = argv.index(flag)
+    return [*argv[:i + 1], value, *argv[i + 2:]]
+
 
 class TestParserSurface:
     def test_options_per_verb(self):
@@ -93,6 +103,17 @@ class TestParserSurface:
             main([verb, "--input", str(f), "--name", "c6"])
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb,flag,floor,below", NUMBER_FLOORS,
+                             ids=[f"{v}{f}{b}" for v, f, _, b in NUMBER_FLOORS])
+    def test_number_below_floor_exit_2(self, capsys, verb, flag, floor, below):
+        code, _, _ = run(capsys, verb, *with_value(BASE_ARGV[verb], flag, str(floor)))
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *with_value(BASE_ARGV[verb], flag, below)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {flag}: must be >= {floor}, got {below}" in err
 
 
 class TestResolveExample:
@@ -131,7 +152,7 @@ class TestDepthCommand:
                            "witness_face": face, "witness_degree": ell}
         assert len(face) + ell + 1 == 4
         lk = link(clique_complex(resolve_example("figure1")), mask_of(v - 1 for v in face))
-        assert reduced_betti(lk)[ell] > 0
+        assert reduced_betti(lk).get(ell, 0) > 0
 
     def test_edge_list_input(self, capsys, tmp_path):
         f = tmp_path / "c4.txt"
@@ -248,6 +269,31 @@ class TestVerifyCommand:
         _, b, _ = run(capsys, "verify", "--name", "figure1", "--format", "json",
                       "--jobs", "8")
         assert a == b
+
+    def test_json_golden(self, capsys):
+        code, out, _ = run(capsys, "verify", "--name", "figure1", "--powers", "--format", "json")
+        checks = [
+            ("kappa_flow_equals_bruteforce", "pass", "flow=4 brute=4"),
+            ("kappa_betti_equals_graph", "pass", "betti=4 graph=4"),
+            ("depth_le_kappa_plus_1", "pass", "depth=4 kappa=4"),
+            ("depth_lower_bound", "pass", "depth=4 lower=3"),
+            ("chordal_equality", "skipped", "not chordal"),
+            ("depth2_kappa_cap", "skipped", "depth != 2"),
+            ("beta12_equals_complement_edges", "pass", "beta(1,2)=2 edges(G^c)=2"),
+            ("table_depth_consistent", "pass", "pd(table)=2 pd(scan)=2"),
+            ("symbolic_square_lower_bound", "pass", "depth=4 lower=2"),
+            ("square_lower_bound", "pass", "depth=4 lower=1"),
+        ]
+        expected = {
+            "n": 6, "edge_count": 13, "kappa": 4, "is_chordal": False, "depth": 4,
+            "depth_symbolic_square": 4, "depth_square": 4,
+            "bounds": {"upper": 5, "lower_depth": 3, "lower_symbolic": 2, "lower_square": 1,
+                       "depth2_kappa_cap": 3},
+            "checks": [{"name": n, "status": s, "detail": d} for n, s, d in checks],
+            "field_characteristic": 2,
+        }
+        # key order is part of the output, and json.dumps keeps the dict's order
+        assert code == 0 and out == json.dumps(expected, indent=2) + "\n"
 
     def test_example_alias_with_powers(self, capsys):
         code, out, _ = run(capsys, "example", "--name", "c6", "--powers")

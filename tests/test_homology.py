@@ -6,24 +6,23 @@ import random
 import pytest
 
 from srdepth.betti import _filtered_sizes
-from srdepth.complexes import SimplicialComplex, clique_complex, restrict
+from srdepth.complexes import SimplicialComplex, clique_complex
 from srdepth.graphs import Graph, bits, mask_of
 from srdepth.homology import (
     GF2,
     GF3,
     RATIONAL,
-    BettiVector,
     FaceColumns,
     FieldSpec,
     betti_from_sizes,
     boundary_rank,
     rank_gf2,
     rank_sparse,
-    reduced_betti,
 )
 from srdepth.verify import construct_example
 
 from conftest import masks_to_tuples, oracle_reduced_betti, random_graph
+from helpers import reduced_betti, restrict
 
 C6 = construct_example("cycle", t=6)
 
@@ -174,31 +173,31 @@ class TestBoundaryRank:
 
 class TestReducedBetti:
     def test_void(self):
-        assert reduced_betti(SimplicialComplex.void(3)) == BettiVector({})
+        assert reduced_betti(SimplicialComplex.void(3)) == {}
 
     def test_irrelevant(self):
-        assert reduced_betti(SimplicialComplex.irrelevant(3)) == BettiVector({-1: 1})
+        assert reduced_betti(SimplicialComplex.irrelevant(3)) == {-1: 1}
 
     def test_two_points(self):
         c = clique_complex(Graph(2, (0, 0)))
-        assert reduced_betti(c) == BettiVector({0: 1})
+        assert reduced_betti(c) == {0: 1}
 
     def test_c6_circle(self):
         for field in (GF2, GF3, RATIONAL):
-            assert reduced_betti(clique_complex(C6), field) == BettiVector({1: 1})
+            assert reduced_betti(clique_complex(C6), field) == {1: 1}
 
     def test_octahedron_sphere(self):
         c = clique_complex(construct_example("multipartite", t=2))  # K_{2,2,2}
-        assert reduced_betti(c, RATIONAL) == BettiVector({2: 1})
+        assert reduced_betti(c, RATIONAL) == {2: 1}
 
     def test_full_simplex_acyclic(self):
         c = clique_complex(construct_example("complete", t=4))
-        assert reduced_betti(c).total() == 0
+        assert reduced_betti(c) == {}
 
     def test_components_minus_one(self, small_corpus):
         for g in small_corpus:
             comps = _component_count(g)
-            assert reduced_betti(clique_complex(g))[0] == comps - 1
+            assert reduced_betti(clique_complex(g)).get(0, 0) == comps - 1
 
     def test_euler_characteristic(self, small_corpus):
         for g in small_corpus[:25]:
@@ -206,7 +205,7 @@ class TestReducedBetti:
             grouped = c.faces_by_size()
             chi = sum((-1) ** (k - 1) * len(grouped[k]) for k in range(len(grouped)))
             b = reduced_betti(c, RATIONAL)
-            alt = sum((-1) ** ell * d for ell, d in b.dims.items())
+            alt = sum((-1) ** ell * d for ell, d in b.items())
             assert chi == alt
 
     def test_matches_sympy_oracle(self, small_corpus):
@@ -216,7 +215,7 @@ class TestReducedBetti:
             w = rng.randrange(1 << g.n)
             r = restrict(c, w)
             expected = oracle_reduced_betti(masks_to_tuples(set(r.faces)))
-            assert reduced_betti(r, RATIONAL) == BettiVector(expected)
+            assert reduced_betti(r, RATIONAL) == expected
 
     def test_window_consistency(self, small_corpus):
         for g in small_corpus[:10]:
@@ -262,7 +261,7 @@ class TestGlobalColumns:
                             f for f in c.faces if f & ~w == 0 and all(f & m != m for m in masks)))
                         expected = reduced_betti(restrict(sub, w), field)
                         got = betti_from_sizes(_filtered_sizes(w, faces, c.n, masks), field)
-                        assert BettiVector(got) == expected, (c, w, masks, field)
+                        assert got == expected, (c, w, masks, field)
 
     def test_empty_and_one_vertex_subsets(self):
         c = clique_complex(C6)
