@@ -94,6 +94,28 @@ def _active_generators(w: int, gen_masks: list[int]) -> tuple[bool, int, int]:
     return has, cover, gmin
 
 
+def _subset_covers(n: int, gen_masks: list[int]) -> tuple[list[int], list[int]]:
+    """_active_generators' cover and min support size (0 if none) for every w < 2^n.
+
+    The generators inside w are those inside w minus its lowest vertex plus
+    those inside w whose own lowest vertex is w's.
+    """
+    by_low: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for gm in gen_masks:
+        by_low[(gm & -gm).bit_length() - 1].append((gm, gm.bit_count()))
+    cover, gmin = [0] * (1 << n), [0] * (1 << n)
+    for w in range(1, 1 << n):
+        low = w & -w
+        cw, gw = cover[w ^ low], gmin[w ^ low]
+        for gm, size in by_low[low.bit_length() - 1]:
+            if gm & ~w == 0:
+                cw |= gm
+                if not gw or size < gw:
+                    gw = size
+        cover[w], gmin[w] = cw, gw
+    return cover, gmin
+
+
 def guard_subset_scan(n: int, allow_large: bool) -> None:
     """Raise GuardError before a 2^n subset scan over the size limit."""
     if n > SUBSET_SCAN_LIMIT and not allow_large:
@@ -122,13 +144,13 @@ def _filtered_sizes(w: int, faces: FaceColumns, kmax: int, masks: tuple[int, ...
 def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec) -> BettiTable:
     """Betti table of K[c] by scanning every vertex subset; gen_masks are c's minimal non-faces."""
     faces = FaceColumns(c.faces_by_size(), field)
+    cover, gmin = _subset_covers(c.n, gen_masks)
     entries = {(0, 0): 1}
     for w in range(1, 1 << c.n):
-        has, cover, gmin = _active_generators(w, gen_masks)
-        if not has or w & ~cover:
+        if not gmin[w] or w & ~cover[w]:
             continue
         j = w.bit_count()
-        dims = betti_from_sizes(_filtered_sizes(w, faces, j), field, ell_lo=gmin - 2)
+        dims = betti_from_sizes(_filtered_sizes(w, faces, j), field, ell_lo=gmin[w] - 2)
         for ell, d in dims.items():
             key = (j - ell - 1, j)
             entries[key] = entries.get(key, 0) + d

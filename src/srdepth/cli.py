@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _verb(sub, "ideal-depth", cmd_ideal_depth, "depth of a monomial quotient from an ideal file",
               text_json, graph=False)
     p.add_argument("--ideal", required=True, help="file with one generator per line, e.g. x1^2*x3")
-    p.add_argument("--nvars", type=int, default=None)
+    p.add_argument("--nvars", type=int_at_least(0), default=None)
 
     return parser
 

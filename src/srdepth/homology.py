@@ -1,10 +1,15 @@
-"""Reduced simplicial homology dimensions over GF(p), plus an exact
-rational mode used as a test oracle.
+"""Reduced simplicial homology dimensions over GF(p) or the rationals.
 
 Faces with k vertices have dimension k - 1; the empty face is the single
 size-0 face and the augmentation map realizes reduced homology.  Boundary
 signs follow lexicographic face order and removed-vertex position; any
 consistent convention yields the same ranks.
+
+Each field has its own column form and rank kernel: GF(2) columns are row
+bitmasks, GF(3) columns are (ones, twos) pairs of row bitmasks added
+bitsliced (Boothby-Bradshaw, arXiv:0901.1413), and other fields use sparse
+{row: coefficient} dicts, eliminated fraction-free on integers over the
+rationals (Bareiss, Math. Comp. 22, 1968).
 
 ``FaceColumns`` builds each face's boundary column once per complex, the
 first time a scan reads its size, with rows indexed in the whole complex's
@@ -17,7 +22,7 @@ only the rank step runs per subcomplex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 
@@ -69,30 +74,62 @@ def rank_gf2(columns: Sequence[int]) -> int:
     return rank
 
 
-def rank_sparse(columns: Sequence[dict[int, int]], characteristic: int) -> int:
-    """Rank over GF(p) (p odd prime) or the rationals (characteristic 0).
+def rank_gf3(columns: Sequence[tuple[int, int]]) -> int:
+    """Rank of a GF(3) matrix given as (ones, twos) row bitmask pairs.
 
-    Columns are sparse {row: coefficient} dicts; input is not modified.
+    Each pivot is stored scaled so that its lowest row holds 1; its negation
+    is the swapped pair.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    rank = 0
+    for x1, x2 in columns:
+        while v := x1 | x2:
+            low = v & -v
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = (x2, x1) if x2 & low else (x1, x2)
+                rank += 1
+                break
+            # add the pivot to an entry 2, its negation to an entry 1
+            y1, y2 = p if x2 & low else (p[1], p[0])
+            t = (x1 | y2) ^ (x2 | y1)
+            x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
+    return rank
+
+
+def rank_sparse(columns: Sequence[dict[int, int]], characteristic: int) -> int:
+    """Rank over GF(p) (p prime) or the rationals (characteristic 0).
+
+    Columns are sparse {row: coefficient} dicts of ints, nonzero mod p;
+    input is not modified.  Over GF(p) each pivot is scaled to lead with 1.
+    Over the rationals elimination is fraction-free: work = a * work - c *
+    pivot, with a/c the ratio of the pivot's and work's leading entries in
+    lowest terms, after which work is divided by the gcd of its entries.
     """
     p = characteristic
-    pivots: dict[int, dict] = {}
+    pivots: dict[int, tuple[int, dict]] = {}
     rank = 0
     for col in columns:
-        if p:
-            work = {r: c % p for r, c in col.items() if c % p}
-        else:
-            work = {r: Fraction(c) for r, c in col.items() if c}
+        work = dict(col)
         while work:
             r = max(work)
             c = work.pop(r)
             piv = pivots.get(r)
             if piv is None:
-                inv = pow(c, -1, p) if p else 1 / c
-                norm = {k: (v * inv % p if p else v * inv) for k, v in work.items()}
-                pivots[r] = norm
+                if p:
+                    inv = pow(c, -1, p)
+                    pivots[r] = (1, {k: v * inv % p for k, v in work.items()})
+                else:
+                    pivots[r] = (c, work)
                 rank += 1
                 break
-            for k, v in piv.items():
+            lead, rest = piv
+            if not p:
+                g = gcd(lead, c)
+                a, c = lead // g, c // g
+                if a != 1:
+                    work = {k: a * v for k, v in work.items()}
+            for k, v in rest.items():
                 nv = work.get(k, 0) - c * v
                 if p:
                     nv %= p
@@ -100,13 +137,18 @@ def rank_sparse(columns: Sequence[dict[int, int]], characteristic: int) -> int:
                     work[k] = nv
                 elif k in work:
                     del work[k]
+            if not p:
+                g = gcd(*work.values())
+                if g > 1:
+                    work = {k: v // g for k, v in work.items()}
     return rank
 
 
 def boundary_columns(faces_k: Sequence[int], faces_km1: Sequence[int], characteristic: int):
     """Sparse boundary columns from size-k faces to size-(k-1) faces.
 
-    For GF(2) returns integer bitmask columns, otherwise {row: sign} dicts.
+    GF(2) gives integer bitmask columns, GF(3) (ones, twos) bitmask pairs,
+    and any other field {row: sign} dicts, with -1 taken mod p.
     """
     row_index = {f: i for i, f in enumerate(faces_km1)}
     cols = []
@@ -119,12 +161,26 @@ def boundary_columns(faces_k: Sequence[int], faces_km1: Sequence[int], character
                 rest ^= low
             cols.append(col)
         return cols
+    if characteristic == 3:
+        for f in faces_k:
+            ones, twos, rest, plus = 0, 0, f, True
+            while rest:  # vertices in ascending order, signs alternating from +1
+                low = rest & -rest
+                if plus:
+                    ones |= 1 << row_index[f ^ low]
+                else:
+                    twos |= 1 << row_index[f ^ low]
+                plus = not plus
+                rest ^= low
+            cols.append((ones, twos))
+        return cols
+    minus = characteristic - 1 if characteristic else -1
     for f in faces_k:
         col, rest, sign = {}, f, 1
-        while rest:  # vertices in ascending order, signs alternating from +1
+        while rest:
             low = rest & -rest
             col[row_index[f ^ low]] = sign
-            sign = -sign
+            sign = minus if sign == 1 else 1
             rest ^= low
         cols.append(col)
     return cols
@@ -150,9 +206,12 @@ class FaceColumns:
 def boundary_rank(columns: Sequence, field: FieldSpec) -> int:
     if not columns:
         return 0
-    if field.characteristic == 2:
+    p = field.characteristic
+    if p == 2:
         return rank_gf2(columns)
-    return rank_sparse(columns, field.characteristic)
+    if p == 3:
+        return rank_gf3(columns)
+    return rank_sparse(columns, p)
 
 
 def betti_from_sizes(columns_by_size: Sequence[Sequence], field: FieldSpec,

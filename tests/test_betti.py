@@ -88,6 +88,25 @@ class TestBettiTable:
             graded_betti_table(clique_complex(big))
 
 
+class TestSubsetCovers:
+    def test_matches_active_generators(self):
+        # the complements' edges of seeded graphs, and minimal non-faces of
+        # random complexes, whose sizes differ
+        rng = random.Random(31)
+        gen_lists = [(g.n, edge_ideal(g.complement()).support_masks())
+                     for g in graph_corpus(seed=31, count=20, n_max=10, n_min=1)]
+        for _ in range(12):
+            n = rng.randint(2, 10)
+            c = SimplicialComplex.from_faces(n, [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 8))])
+            gen_lists.append((n, stanley_reisner_ideal(c).support_masks()))
+        for n, gens in gen_lists:
+            cover, gmin = betti._subset_covers(n, gens)
+            assert len(cover) == len(gmin) == 1 << n
+            for w in range(1 << n):
+                has, cover_w, gmin_w = betti._active_generators(w, gens)
+                assert (cover[w], gmin[w]) == (cover_w, gmin_w) and has == (gmin[w] > 0), (n, gens, w)
+
+
 class TestGraphBettiTable:
     @pytest.mark.parametrize("field", [GF2, GF3, RATIONAL], ids=["GF2", "GF3", "QQ"])
     def test_matches_complex_table(self, field):

@@ -44,7 +44,7 @@ BASE_ARGV = {
     "depth": ["--name", "c4"], "betti": ["--name", "c4"], "kappa": ["--name", "c4"],
     "powers": ["--name", "c4"], "verify": ["--name", "c4"],
     "fuzz": ["--n", "4", "--count", "1"], "search-depth2": ["--n", "4", "--budget", "1"],
-    "ideal-depth": ["--ideal", "ideal.txt"],
+    "ideal-depth": ["--ideal", "ideal.txt", "--nvars", "0"],
 }
 
 # Options a verb's handler does not read, and formats it cannot print.
@@ -60,7 +60,8 @@ NOT_ACCEPTED = (
 
 # (verb, flag, smallest accepted value, a value below it)
 NUMBER_FLOORS = [("fuzz", "--n", 2, "1"), ("fuzz", "--count", 0, "-4"),
-                 ("search-depth2", "--n", 2, "0"), ("search-depth2", "--budget", 0, "-1")]
+                 ("search-depth2", "--n", 2, "0"), ("search-depth2", "--budget", 0, "-1"),
+                 ("ideal-depth", "--nvars", 0, "-3")]
 
 
 def with_value(argv: list[str], flag: str, value: str) -> list[str]:
@@ -106,7 +107,9 @@ class TestParserSurface:
 
     @pytest.mark.parametrize("verb,flag,floor,below", NUMBER_FLOORS,
                              ids=[f"{v}{f}{b}" for v, f, _, b in NUMBER_FLOORS])
-    def test_number_below_floor_exit_2(self, capsys, verb, flag, floor, below):
+    def test_number_below_floor_exit_2(self, capsys, tmp_path, monkeypatch, verb, flag, floor, below):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ideal.txt").write_text("0\n")  # the zero ideal, valid in 0 variables
         code, _, _ = run(capsys, verb, *with_value(BASE_ARGV[verb], flag, str(floor)))
         assert code == 0
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import signal
 
 import pytest
 
@@ -15,8 +17,10 @@ from srdepth.homology import (
     FaceColumns,
     FieldSpec,
     betti_from_sizes,
+    boundary_columns,
     boundary_rank,
     rank_gf2,
+    rank_gf3,
     rank_sparse,
 )
 from srdepth.verify import construct_example
@@ -62,6 +66,17 @@ class TestFieldSpec:
 
 
 class TestRank:
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        # a broken elimination step can cycle on one row forever
+        def expire(signum, frame):
+            raise TimeoutError("rank kernel did not finish within 30 s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(30)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
     def test_gf2_examples(self):
         assert rank_gf2([]) == 0
         assert rank_gf2([0b11, 0b01, 0b10]) == 2
@@ -98,6 +113,108 @@ class TestRank:
             assert rank_sparse(cols, 0) == sympy.Matrix(dense).rank()
             for p in (3, 5):
                 assert rank_sparse(cols, p) == _rank_mod_p(dense, p)
+
+    def test_gf3_against_oracles(self):
+        # +-1/+-2 entries, all-zero columns and rows, and the empty matrix
+        rng = random.Random(12)
+        assert rank_gf3([]) == 0
+        for _ in range(120):
+            rows, cols_n = rng.randint(1, 9), rng.randint(1, 9)
+            density = rng.choice((0.2, 0.5, 0.9))
+            dense = [[rng.choice((-2, -1, 1, 2)) if rng.random() < density else 0
+                      for _ in range(cols_n)] for _ in range(rows)]
+            for j in rng.sample(range(cols_n), rng.randint(0, min(2, cols_n))):
+                for row in dense:
+                    row[j] = 0
+            expected = _rank_mod_p(dense, 3)
+            assert rank_gf3(_gf3_pairs(dense)) == expected, dense
+            assert rank_sparse(_dict_columns(dense, 3), 3) == expected, dense
+
+    def test_rational_against_oracle(self):
+        import sympy
+        rng = random.Random(13)
+        assert rank_sparse([], 0) == 0
+        for _ in range(60):
+            rows, cols_n = rng.randint(1, 9), rng.randint(1, 9)
+            dense = [[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.6 else 0
+                      for _ in range(cols_n)] for _ in range(rows)]
+            if rng.random() < 0.5:  # a dependent column and an all-zero one
+                a, b = rng.randrange(cols_n), rng.randrange(cols_n)
+                for row in dense:
+                    row.append(3 * row[a] - 2 * row[b])
+                    row.append(0)
+            assert rank_sparse(_dict_columns(dense, 0), 0) == sympy.Matrix(dense).rank(), dense
+
+    def test_rational_entries_stay_below_hadamard_square(self):
+        # Every column reduced against pivots is made primitive, so by Cramer's
+        # rule it divides a vector of minors and its entries are at most the
+        # Hadamard bound H; a product or difference formed on the way stays
+        # within 2 H^2.  Without the gcd step the entries grow past that.
+        widest = [0]
+
+        class Entry(int):
+            def _track(self, value):
+                widest[0] = max(widest[0], value.bit_length())
+                return Entry(value)
+
+            def __mul__(self, other):
+                return self._track(int(self) * int(other))
+
+            __rmul__ = __mul__
+
+            def __sub__(self, other):
+                return self._track(int(self) - int(other))
+
+            def __rsub__(self, other):
+                return self._track(int(other) - int(self))
+
+            def __floordiv__(self, other):
+                return self._track(int(self) // int(other))
+
+        import sympy
+        rng = random.Random(14)
+        for size in (6, 8, 10, 12, 14):
+            dense = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+            cols = [{i: Entry(row[j]) for i, row in enumerate(dense) if row[j]} for j in range(size)]
+            hadamard_squared = math.prod(max(sum(row[j] ** 2 for row in dense), 1) for j in range(size))
+            widest[0] = 0
+            assert rank_sparse(cols, 0) == sympy.Matrix(dense).rank()
+            assert widest[0] <= (2 * hadamard_squared).bit_length(), (size, widest[0])
+
+    def test_boundary_matrices_of_clique_complexes(self):
+        import sympy
+        rng = random.Random(15)
+        for _ in range(10):
+            c = clique_complex(random_graph(rng, rng.randint(4, 8), rng.choice((0.4, 0.6, 0.8))))
+            for field in (GF3, FieldSpec(5), RATIONAL):
+                faces = FaceColumns(c.faces_by_size(), field)
+                for k in range(1, len(faces.by_size)):
+                    dense = boundary_matrix(c, k - 1, field)
+                    p = field.characteristic
+                    expected = _rank_mod_p(dense, p) if p else sympy.Matrix(dense).rank()
+                    assert boundary_rank(list(faces.columns(k).values()), field) == expected
+
+    def test_boundary_columns_reduced_mod_p(self):
+        faces = clique_complex(C6).faces_by_size()
+        for p, minus in ((5, 4), (7, 6), (0, -1)):
+            cols = boundary_columns(faces[2], faces[1], p)
+            assert {v for col in cols for v in col.values()} == {1, minus}
+        ones_twos = boundary_columns(faces[2], faces[1], 3)
+        dicts = boundary_columns(faces[2], faces[1], 0)
+        assert ones_twos == _gf3_pairs([[col.get(i, 0) for col in dicts] for i in range(len(faces[1]))])
+
+
+def _gf3_pairs(dense):
+    """(ones, twos) row bitmasks of each column of a dense integer matrix, mod 3."""
+    return [(mask_of(i for i, row in enumerate(dense) if row[j] % 3 == 1),
+             mask_of(i for i, row in enumerate(dense) if row[j] % 3 == 2))
+            for j in range(len(dense[0]))] if dense else []
+
+
+def _dict_columns(dense, p):
+    """{row: entry} columns of a dense matrix, keeping entries nonzero mod p."""
+    return [{i: row[j] for i, row in enumerate(dense) if (row[j] % p if p else row[j])}
+            for j in range(len(dense[0]))] if dense else []
 
 
 def _rank_mod_p(dense, p):
@@ -168,7 +285,9 @@ class TestBoundaryRank:
         for field in (GF2, GF3, RATIONAL):
             assert boundary_rank([], field) == 0
         assert boundary_rank([0, 0], GF2) == 0
-        assert boundary_rank([{}, {}], GF3) == 0
+        assert boundary_rank([(0, 0), (0, 0)], GF3) == 0  # GF(3) columns are (ones, twos)
+        assert boundary_rank([{}, {}], RATIONAL) == 0
+        assert rank_sparse([{}, {}], 3) == 0
 
 
 class TestReducedBetti:
@@ -189,6 +308,17 @@ class TestReducedBetti:
     def test_octahedron_sphere(self):
         c = clique_complex(construct_example("multipartite", t=2))  # K_{2,2,2}
         assert reduced_betti(c, RATIONAL) == {2: 1}
+
+    def test_six_vertex_projective_plane(self):
+        # H_1(RP^2; Z) = Z/2: torsion shows over GF(2) only, in degrees 1 and 2
+        facets = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                  (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+        c = SimplicialComplex.from_faces(6, [mask_of(f) for f in facets])
+        assert len(c.faces_by_size()[2]) == 15
+        assert reduced_betti(c, GF2) == {1: 1, 2: 1}
+        for field in (GF3, FieldSpec(5), RATIONAL):
+            assert reduced_betti(c, field) == {}
+        assert oracle_reduced_betti(masks_to_tuples(set(c.faces))) == {}
 
     def test_full_simplex_acyclic(self):
         c = clique_complex(construct_example("complete", t=4))
