@@ -12,7 +12,6 @@ from .graphs import (
     GuardError,
     ParseError,
     is_chordal,
-    minimal_vertex_covers,
     parse_graph,
     vertex_connectivity,
     vertex_connectivity_bruteforce,
@@ -37,7 +36,6 @@ from .monomials import (
     MonomialIdeal,
     Polarization,
     edge_ideal,
-    intersection,
     minimalize,
     parse_ideal,
     polarize,

@@ -122,6 +122,13 @@ def guard_subset_scan(n: int, allow_large: bool) -> None:
         raise GuardError(f"subset scan limited to n <= {SUBSET_SCAN_LIMIT}; override to force")
 
 
+def guard_polarized_scan(m: int, allow_large: bool) -> None:
+    """Raise GuardError before a depth scan of an ideal whose polarization has m variables."""
+    if m > POLARIZED_SCAN_LIMIT and not allow_large:
+        raise GuardError(
+            f"polarized ring has {m} variables, over the {POLARIZED_SCAN_LIMIT} limit; override to force")
+
+
 def _filtered_sizes(w: int, faces: FaceColumns, kmax: int, masks: tuple[int, ...] = ()) -> list[list]:
     """Boundary columns of the faces inside w that contain none of the masks, by size up to kmax.
 
@@ -263,9 +270,6 @@ def depth_monomial_quotient(ideal: MonomialIdeal, field: FieldSpec = GF2, *,
         raise ValueError("the unit ideal quotient is zero; depth undefined")
     if ideal.is_zero():
         return DepthResult(ideal.num_vars, 0, ((-1,) * ideal.num_vars, -1))
-    m = sum(max(e, 1) for e in ideal.max_exponents())
-    if m > POLARIZED_SCAN_LIMIT and not allow_large:
-        raise GuardError(
-            f"polarized ring has {m} variables, over the {POLARIZED_SCAN_LIMIT} limit; override to force")
+    guard_polarized_scan(sum(max(e, 1) for e in ideal.max_exponents()), allow_large)
     radical = MonomialIdeal.from_squarefree_masks(ideal.num_vars, ideal.support_masks())
     return _takayama_depth(complex_from_squarefree_ideal(radical), ideal, field)

@@ -17,7 +17,7 @@ from typing import Optional
 from . import graphs as gr
 from . import monomials as mono
 from . import verify as ver
-from .betti import depth_monomial_quotient, graph_betti_table, graph_depth, kappa_via_betti
+from .betti import depth_monomial_quotient, graph_betti_table, graph_depth, guard_subset_scan, kappa_via_betti
 from .graphs import Graph
 from .homology import FieldSpec
 
@@ -161,7 +161,8 @@ def cmd_kappa(args: argparse.Namespace) -> int:
 def cmd_powers(args: argparse.Namespace) -> int:
     g = load_graph(args)
     field = field_of(args)
-    symb, square = ver.second_powers(g)
+    guard_subset_scan(g.n, args.allow_large)
+    symb, square = ver.second_powers(g, allow_large=args.allow_large)
     d1 = graph_depth(g, field, allow_large=args.allow_large).depth
     d2 = depth_monomial_quotient(symb, field, allow_large=args.allow_large).depth
     d3 = depth_monomial_quotient(square, field, allow_large=args.allow_large).depth

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 from .graphs import Graph, GuardError, bits, mask_of
 from .monomials import MonomialIdeal
@@ -39,28 +38,6 @@ class SimplicialComplex:
                 if f ^ low not in self.faces:
                     raise ValueError("faces are not closed under taking subsets")
                 rest ^= low
-
-    @classmethod
-    def void(cls, n: int) -> "SimplicialComplex":
-        return cls(n, frozenset())
-
-    @classmethod
-    def irrelevant(cls, n: int) -> "SimplicialComplex":
-        return cls(n, frozenset({0}))
-
-    @classmethod
-    def from_faces(cls, n: int, faces: Iterable[int]) -> "SimplicialComplex":
-        """Downward closure of the given face masks (plus the empty face)."""
-        closed: set[int] = {0}
-        stack = list(faces)
-        while stack:
-            f = stack.pop()
-            if f in closed:
-                continue
-            closed.add(f)
-            for b in bits(f):
-                stack.append(f ^ (1 << b))
-        return cls(n, frozenset(closed))
 
     @property
     def is_void(self) -> bool:
@@ -117,6 +94,12 @@ def stanley_reisner_ideal(c: SimplicialComplex) -> MonomialIdeal:
     return MonomialIdeal.from_squarefree_masks(c.n, gens)
 
 
+def guard_face_enumeration(n: int) -> None:
+    """Raise GuardError before a walk over the 2^n squarefree monomials in n variables."""
+    if n > NONFACE_SCAN_LIMIT:
+        raise GuardError(f"face enumeration limited to n <= {NONFACE_SCAN_LIMIT}")
+
+
 def complex_from_squarefree_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     """Faces are the squarefree monomials outside the ideal.
 
@@ -128,8 +111,7 @@ def complex_from_squarefree_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     if not ideal.is_squarefree():
         raise ValueError("ideal is not squarefree")
     n = ideal.num_vars
-    if n > NONFACE_SCAN_LIMIT:
-        raise GuardError(f"face enumeration limited to n <= {NONFACE_SCAN_LIMIT}")
+    guard_face_enumeration(n)
     gen_masks = ideal.support_masks()
     nonface = bytearray(1 << n)
     for m in gen_masks:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 BRUTE_FORCE_LIMIT = 16
-COVER_LIMIT = 20
 
 
 class ParseError(ValueError):
@@ -260,33 +259,6 @@ def is_chordal(g: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
         if rest & ~g.closed_neighborhood(u):
             return False, None
     return True, peo
-
-
-def _maximal_independent_sets(g: Graph) -> list[int]:
-    """All maximal independent sets (Bron-Kerbosch with pivot on G^c)."""
-    comp = g.complement()
-    out: list[int] = []
-
-    def expand(clique: int, cand: int, excl: int) -> None:
-        if not cand and not excl:
-            out.append(clique)
-            return
-        pivot = max(bits(cand | excl), key=lambda u: (comp.adj[u] & cand).bit_count())
-        for v in bits(cand & ~comp.adj[pivot]):
-            expand(clique | 1 << v, cand & comp.adj[v], excl & comp.adj[v])
-            cand &= ~(1 << v)
-            excl |= 1 << v
-
-    expand(0, g.full_mask, 0)
-    return out
-
-
-def minimal_vertex_covers(g: Graph) -> list[int]:
-    """All inclusion-minimal vertex covers, sorted by (size, vertex list)."""
-    if g.n > COVER_LIMIT:
-        raise GuardError(f"minimal vertex covers limited to n <= {COVER_LIMIT}")
-    covers = {g.full_mask & ~s for s in _maximal_independent_sets(g)}
-    return sorted(covers, key=lambda m: (m.bit_count(), tuple(bits(m))))
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -1,5 +1,5 @@
-"""Exact monomial-ideal arithmetic: minimal generators, products,
-intersections, symbolic squares of edge ideals, polarization.
+"""Exact monomial-ideal arithmetic: minimal generators, products, the
+symbolic square of an edge ideal, polarization.
 
 A monomial is an exponent tuple of length ``num_vars``.  An ideal is kept
 as its unique minimal (divisibility-antichain) generating set, sorted.
@@ -7,17 +7,13 @@ as its unique minimal (divisibility-antichain) generating set, sorted.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import graphs
-from .graphs import Graph, GuardError, bits
+from .graphs import Graph, bits
 
 Monomial = tuple[int, ...]
-
-SYMBOLIC_POWER_LIMIT = 3
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
@@ -26,10 +22,6 @@ def divides(a: Monomial, b: Monomial) -> bool:
 
 def mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def degree(a: Monomial) -> int:
@@ -61,14 +53,6 @@ class MonomialIdeal:
                 raise ValueError("generator length mismatch")
             if any(e < 0 for e in g):
                 raise ValueError("negative exponent")
-
-    @classmethod
-    def zero(cls, n: int) -> "MonomialIdeal":
-        return cls(n, ())
-
-    @classmethod
-    def unit(cls, n: int) -> "MonomialIdeal":
-        return cls(n, ((0,) * n,))
 
     @classmethod
     def from_squarefree_masks(cls, n: int, masks: Iterable[int]) -> "MonomialIdeal":
@@ -124,20 +108,6 @@ def power(a: MonomialIdeal, m: int) -> MonomialIdeal:
     return out
 
 
-def intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    _check_ring(a, b)
-    if a.is_zero() or b.is_zero():
-        return MonomialIdeal.zero(a.num_vars)
-    return minimalize([lcm(x, y) for x in a.gens for y in b.gens], a.num_vars)
-
-
-def intersect_many(ideals: Sequence[MonomialIdeal], n: int) -> MonomialIdeal:
-    out = MonomialIdeal.unit(n)
-    for ideal in ideals:
-        out = intersection(out, ideal)
-    return out
-
-
 def edge_ideal(g: Graph, exclude: int = 0) -> MonomialIdeal:
     """Edge ideal of g, labels preserved; vertices in ``exclude`` dropped."""
     gens = []
@@ -147,32 +117,16 @@ def edge_ideal(g: Graph, exclude: int = 0) -> MonomialIdeal:
     return MonomialIdeal(g.n, tuple(sorted(gens)))
 
 
-def variable_power_ideal(n: int, vars_mask: int, m: int) -> MonomialIdeal:
-    """(x_i : i in vars_mask)^m, generated by all degree-m monomials."""
-    vs = list(bits(vars_mask))
-    gens = []
-    for combo in itertools.combinations_with_replacement(vs, m):
-        e = [0] * n
-        for v in combo:
-            e[v] += 1
-        gens.append(tuple(e))
-    return MonomialIdeal(n, tuple(sorted(gens)))
+def symbolic_power(g: Graph, square: MonomialIdeal) -> MonomialIdeal:
+    """Symbolic square I^(2) of the edge ideal I of g, given ``square`` = I^2.
 
-
-def symbolic_power(g: Graph, m: int) -> MonomialIdeal:
-    """m-th symbolic power of the edge ideal of g, via minimal primes.
-
-    Minimal primes of an edge ideal are generated by the minimal vertex
-    covers; the symbolic power is the intersection of their m-th powers.
+    For an edge ideal, I^(2) = I^2 + (x_i x_j x_k : {i, j, k} a triangle of g)
+    (Sullivant, "Combinatorial symbolic powers", J. Algebra 2008).
     """
-    if m < 1 or m > SYMBOLIC_POWER_LIMIT:
-        raise GuardError(f"symbolic power limited to m <= {SYMBOLIC_POWER_LIMIT}")
-    if g.num_edges() == 0:
-        return MonomialIdeal.zero(g.n)
-    if m == 1:
-        return edge_ideal(g)
-    covers = graphs.minimal_vertex_covers(g)
-    return intersect_many([variable_power_ideal(g.n, c, m) for c in covers], g.n)
+    # each triangle once, as an edge u < v and a common neighbour w > v
+    triangles = [monomial_from_mask(g.n, 1 << u | 1 << v | 1 << w)
+                 for u, v in g.edges() for w in bits(g.adj[u] & g.adj[v] & ~((2 << v) - 1))]
+    return minimalize(list(square.gens) + triangles, g.n)
 
 
 @dataclass(frozen=True)

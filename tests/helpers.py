@@ -1,21 +1,37 @@
 """Test oracles built on the package's value types.
 
-The CLI never calls these: restriction, links and cones of complexes,
-reduced Betti numbers of a whole complex, ideal membership, colon ideals and
-the colon structure of (I^2 : x_i x_j), the ideal text printer, induced
-subgraphs, and the kappa > (2n-2)/3 arithmetic lemma.  Unlike the sympy
-oracle in ``conftest.py``, they reuse package code.
+The CLI never calls these: downward closure, restriction, links and cones of
+complexes, reduced Betti numbers of a whole complex, ideal membership,
+intersections, colon ideals and the colon structure of (I^2 : x_i x_j), the
+symbolic square through minimal vertex covers, the ideal text printer,
+induced subgraphs, and the kappa > (2n-2)/3 arithmetic lemma.  Unlike the
+sympy oracle in ``conftest.py``, they reuse package code.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from srdepth.complexes import SimplicialComplex
 from srdepth.graphs import Graph, bits, mask_of
 from srdepth.homology import GF2, FaceColumns, FieldSpec, betti_from_sizes
 from srdepth.monomials import Monomial, MonomialIdeal, divides, edge_ideal, minimalize, monomial_from_mask, mul
+
+
+def from_faces(n: int, faces: Iterable[int]) -> SimplicialComplex:
+    """Downward closure of the given face masks (plus the empty face)."""
+    closed: set[int] = {0}
+    stack = list(faces)
+    while stack:
+        f = stack.pop()
+        if f in closed:
+            continue
+        closed.add(f)
+        for b in bits(f):
+            stack.append(f ^ (1 << b))
+    return SimplicialComplex(n, frozenset(closed))
 
 
 def restrict(c: SimplicialComplex, w: int) -> SimplicialComplex:
@@ -61,6 +77,54 @@ def contains(a: MonomialIdeal, m: Monomial) -> bool:
 
 def is_subideal_of(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     return all(contains(b, g) for g in a.gens)
+
+
+def lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    if a.num_vars != b.num_vars:
+        raise ValueError("ideals live in different rings")
+    return minimalize([lcm(x, y) for x in a.gens for y in b.gens], a.num_vars)
+
+
+def variable_power_ideal(n: int, vars_mask: int, m: int) -> MonomialIdeal:
+    """(x_i : i in vars_mask)^m, generated by all degree-m monomials."""
+    gens = []
+    for combo in itertools.combinations_with_replacement(bits(vars_mask), m):
+        e = [0] * n
+        for v in combo:
+            e[v] += 1
+        gens.append(tuple(e))
+    return MonomialIdeal(n, tuple(sorted(gens)))
+
+
+def minimal_vertex_covers(g: Graph) -> list[int]:
+    """All inclusion-minimal vertex covers, by increasing size over every subset.
+
+    Sorted by (size, vertex list).  The edgeless graph has the one cover 0.
+    """
+    covers: list[int] = []
+    for size in range(g.n + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            m = mask_of(combo)
+            if all(m >> u & 1 or m >> v & 1 for u, v in g.edges()):
+                if not any(c & ~m == 0 for c in covers):
+                    covers.append(m)
+    return covers
+
+
+def symbolic_square_by_covers(g: Graph) -> MonomialIdeal:
+    """I(g)^(2) as the intersection of P_C^2 over the minimal vertex covers C.
+
+    P_C, generated by the variables of C, runs over the minimal primes of the
+    edge ideal; the edgeless graph's one cover is empty, so its square is 0.
+    """
+    out = MonomialIdeal(g.n, ((0,) * g.n,))
+    for c in minimal_vertex_covers(g):
+        out = intersection(out, variable_power_ideal(g.n, c, 2))
+    return out
 
 
 def quotient(a: Monomial, b: Monomial) -> Monomial:

@@ -6,7 +6,6 @@ run log, green or red.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import sys
@@ -20,10 +19,10 @@ from srdepth.complexes import clique_complex, complex_from_squarefree_ideal
 from srdepth.graphs import Graph, bits, vertex_connectivity, vertex_connectivity_bruteforce
 from srdepth.homology import GF2, GF3, RATIONAL
 from srdepth.monomials import edge_ideal, minimalize, mul, power, symbolic_power
-from srdepth.verify import construct_example, fuzz_campaign
+from srdepth.verify import construct_example, fuzz_campaign, second_powers
 
 from conftest import graph_corpus, random_graph
-from helpers import colon, colon_square_structure, lemma_arithmetic
+from helpers import colon, colon_square_structure, lemma_arithmetic, symbolic_square_by_covers
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -54,7 +53,7 @@ class TestCriterion1Goldens:
         c6 = construct_example("cycle", t=6)
         check("C6 depth", lambda: graph_depth(c6).depth, 2)
         check("C6 symbolic square depth",
-              lambda: depth_monomial_quotient(symbolic_power(c6.complement(), 2)).depth, 1)
+              lambda: depth_monomial_quotient(second_powers(c6)[0]).depth, 1)
         check("C6 square depth",
               lambda: depth_monomial_quotient(power(edge_ideal(c6.complement()), 2)).depth, 0)
         fig1 = construct_example("figure1")
@@ -104,16 +103,13 @@ class TestCriterion3OracleEquivalences:
                f"{len(bad)} mismatches of 200" if bad else "200 graphs n<=10")
 
     def test_symbolic_square_equals_square_plus_triangles(self):
+        # the runtime's square-plus-triangles route against the intersection
+        # of the squared minimal primes P_C^2, C a minimal vertex cover
         bad = 0
         for g in graph_corpus(seed=32, count=100, n_max=8):
             if g.num_edges() == 0:
                 continue
-            i = edge_ideal(g)
-            triangles = [tuple(1 if v in c else 0 for v in range(g.n))
-                         for c in itertools.combinations(range(g.n), 3)
-                         if all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2))]
-            expected = minimalize(list(power(i, 2).gens) + triangles, g.n)
-            if symbolic_power(g, 2) != expected:
+            if symbolic_power(g, power(edge_ideal(g), 2)) != symbolic_square_by_covers(g):
                 bad += 1
         report("3b symbolic square = square + triangles", bad == 0,
                f"{bad} mismatches" if bad else "100 graphs n<=8")

@@ -259,6 +259,23 @@ class TestPowersCommand:
             assert "polarized ring has 18 variables" in checks[name]["detail"]
 
 
+    @pytest.mark.parametrize("name, message", [
+        ("c14", "polarized ring has 28 variables, over the 16 limit"),
+        ("c16", "subset scan limited to n <= 14"),
+        ("p20", "subset scan limited to n <= 14"),
+    ])
+    def test_guard_before_building_powers(self, capsys, name, message):
+        (code, out, err), elapsed = run_timed(capsys, "powers", "--name", name)
+        assert code == 2 and out == "" and message in err
+        assert elapsed < 1.0
+
+    def test_face_enumeration_guard_holds_under_override(self, capsys):
+        # --allow-large lifts the two guards above, not the depth engine's n <= 20
+        (code, out, err), elapsed = run_timed(capsys, "powers", "--name", "c24", "--allow-large")
+        assert code == 2 and out == "" and "face enumeration limited to n <= 20" in err
+        assert elapsed < 1.0
+
+
 class TestVerifyCommand:
     def test_figure1_text(self, capsys):
         code, out, _ = run(capsys, "verify", "--name", "figure1")

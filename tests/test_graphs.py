@@ -18,7 +18,6 @@ from srdepth.graphs import (
     is_chordal,
     is_connected,
     mask_of,
-    minimal_vertex_covers,
     parse_edge_list,
     parse_graph,
     parse_graph6,
@@ -28,7 +27,7 @@ from srdepth.graphs import (
 from srdepth.verify import construct_example, random_chordal_graph
 
 from conftest import graph_corpus, random_graph
-from helpers import induced_subgraph
+from helpers import induced_subgraph, minimal_vertex_covers
 
 C6 = construct_example("cycle", t=6)
 FIG1 = construct_example("figure1")
@@ -233,15 +232,7 @@ class TestChordal:
 
 
 class TestMinimalVertexCovers:
-    def brute_minimal_covers(self, g):
-        covers = []
-        for size in range(g.n + 1):
-            for combo in itertools.combinations(range(g.n), size):
-                m = mask_of(combo)
-                if all((m >> u & 1) or (m >> v & 1) for u, v in g.edges()):
-                    if not any(c & ~m == 0 for c in covers if c != m):
-                        covers.append(m)
-        return sorted(covers, key=lambda m: (m.bit_count(), tuple(bits(m))))
+    """The brute-force covers behind the symbolic-square oracle in helpers."""
 
     def test_triangle(self):
         k3 = construct_example("complete", t=3)
@@ -255,10 +246,6 @@ class TestMinimalVertexCovers:
         c4 = construct_example("cycle", t=4)
         assert minimal_vertex_covers(c4) == [mask_of([0, 2]), mask_of([1, 3])]
 
-    def test_matches_bruteforce(self, small_corpus):
-        for g in small_corpus[:30]:
-            assert minimal_vertex_covers(g) == self.brute_minimal_covers(g)
-
     def test_each_cover_minimal(self, medium_corpus):
         for g in medium_corpus[:20]:
             for c in minimal_vertex_covers(g):
@@ -267,7 +254,3 @@ class TestMinimalVertexCovers:
                     smaller = c ^ (1 << v)
                     assert not all((smaller >> a & 1) or (smaller >> b & 1)
                                    for a, b in g.edges())
-
-    def test_guard(self):
-        with pytest.raises(GuardError):
-            minimal_vertex_covers(Graph(21, (0,) * 21))

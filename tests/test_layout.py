@@ -25,14 +25,19 @@ def traced_targets() -> dict[str, tuple[str, ...]]:
     raise AssertionError("perfbench/tracing.py defines no TARGETS")
 
 
-def names_used(node: ast.AST) -> set[str]:
-    """Plain names and attribute names read anywhere inside node."""
+def names_used(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Plain names and attribute names read anywhere inside node, outside skip."""
     out = set()
-    for sub in ast.walk(node):
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if sub is skip:
+            continue
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
+        stack.extend(ast.iter_child_nodes(sub))
     return out
 
 
@@ -46,23 +51,31 @@ class TestLayout:
         assert callable(importlib.import_module("srdepth.betti").boundary_rank)
 
     def test_every_definition_is_reached(self):
+        """Each top-level definition and non-dunder method is named outside its own body."""
         traced = {(module, name) for module, names in traced_targets().items() for name in names}
         traced.add(("cli", "main"))
-        definitions = []  # (module, name, node)
-        statements = []  # (module, node): every top-level statement but imports
+        definitions = []  # (qualified name, node, top-level statement holding it)
+        statements = []  # every top-level statement but imports
         for path in sorted(PACKAGE.glob("*.py")):
             if path.stem == "__init__":
                 continue
             for node in ast.parse(path.read_text()).body:
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     continue
-                statements.append((path.stem, node))
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    definitions.append((path.stem, node.name, node))
+                statements.append(node)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (path.stem, node.name) not in traced:
+                    definitions.append((f"{path.stem}.{node.name}", node, node))
+                if isinstance(node, ast.ClassDef):
+                    for method in node.body:
+                        if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                            definitions.append((f"{path.stem}.{node.name}.{method.name}", method, node))
+        used = {id(node): names_used(node) for node in statements}
         unreached = []
-        for module, name, node in definitions:
-            if (module, name) in traced:
+        for qualified, node, holder in definitions:
+            name = node.name
+            if any(name in used[id(other)] for other in statements if other is not holder):
                 continue
-            if not any(name in names_used(other) for _, other in statements if other is not node):
-                unreached.append(f"{module}.{name}")
+            if holder is not node and name in names_used(holder, skip=node):
+                continue
+            unreached.append(qualified)
         assert unreached == []

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srdepth.graphs import Graph, GuardError, bits, mask_of
+from srdepth.graphs import Graph, mask_of
 from srdepth.monomials import (
     MonomialIdeal,
     divides,
     edge_ideal,
-    intersection,
     minimalize,
     mul,
     parse_ideal,
@@ -20,12 +19,23 @@ from srdepth.monomials import (
     power,
     product,
     symbolic_power,
-    variable_power_ideal,
 )
 from srdepth.verify import construct_example
 
 from conftest import random_graph
-from helpers import colon, colon_square_structure, format_ideal, format_monomial, is_subideal_of
+from helpers import (
+    colon,
+    colon_square_structure,
+    format_ideal,
+    format_monomial,
+    intersection,
+    is_subideal_of,
+    symbolic_square_by_covers,
+    variable_power_ideal,
+)
+
+ZERO2 = MonomialIdeal(2, ())
+UNIT2 = MonomialIdeal(2, ((0, 0),))
 
 
 def M(*exps):
@@ -80,7 +90,7 @@ class TestArithmetic:
 
     def test_product_with_zero(self):
         a = minimalize([M(1, 0)], 2)
-        assert product(a, MonomialIdeal.zero(2)).is_zero()
+        assert product(a, ZERO2).is_zero()
 
     def test_power_square(self):
         i = edge_ideal(Graph.from_edges(3, [(0, 1), (1, 2)]))
@@ -90,7 +100,7 @@ class TestArithmetic:
 
     def test_power_bad_exponent(self):
         with pytest.raises(ValueError):
-            power(MonomialIdeal.unit(1), 0)
+            power(MonomialIdeal(1, ((0,),)), 0)
 
     def test_colon_example(self):
         # (x^2 y, y z) : y = (x^2, z)
@@ -102,7 +112,7 @@ class TestArithmetic:
         assert colon(a, M(0, 0)) == a
 
     def test_colon_zero(self):
-        assert colon(MonomialIdeal.zero(2), M(1, 0)).is_zero()
+        assert colon(ZERO2, M(1, 0)).is_zero()
 
     def test_intersection_example(self):
         # (x) cap (y) = (xy)
@@ -111,13 +121,13 @@ class TestArithmetic:
         assert intersection(a, b).gens == (M(1, 1),)
 
     def test_intersection_with_zero(self):
-        assert intersection(MonomialIdeal.zero(2), MonomialIdeal.unit(2)).is_zero()
+        assert intersection(ZERO2, UNIT2).is_zero()
 
     def test_ring_mismatch(self):
         with pytest.raises(ValueError):
-            product(MonomialIdeal.zero(2), MonomialIdeal.zero(3))
+            product(ZERO2, MonomialIdeal(3, ()))
         with pytest.raises(ValueError):
-            colon(MonomialIdeal.zero(2), M(1, 0, 0))
+            colon(ZERO2, M(1, 0, 0))
 
     @settings(max_examples=40, deadline=None)
     @given(ideal_strategy(), monomial_strategy(4))
@@ -151,48 +161,56 @@ class TestEdgeIdeal:
         assert edge_ideal(Graph(3, (0, 0, 0))).is_zero()
 
 
+def symbolic_square(g):
+    return symbolic_power(g, power(edge_ideal(g), 2))
+
+
 class TestSymbolicPower:
     def test_triangle_symbolic_square(self):
         # I(K3)^(2) = I^2 + (xyz)
         k3 = construct_example("complete", t=3)
         i = edge_ideal(k3)
         expected = minimalize(list(power(i, 2).gens) + [M(1, 1, 1)], 3)
-        assert symbolic_power(k3, 2) == expected
+        assert symbolic_square(k3) == expected
 
     def test_c6_complement_symbolic_square(self):
         # complement of C6: extra generators are its two triangles
         g = construct_example("cycle", t=6).complement()
         i = edge_ideal(g)
         tri = [M(1, 0, 1, 0, 1, 0), M(0, 1, 0, 1, 0, 1)]
-        assert symbolic_power(g, 2) == minimalize(list(power(i, 2).gens) + tri, 6)
+        assert symbolic_square(g) == minimalize(list(power(i, 2).gens) + tri, 6)
 
     def test_triangle_free_equals_square(self):
         for g in (construct_example("cycle", t=4),
                   construct_example("cycle", t=6),
                   construct_example("bipartite", a=3, b=3)):
-            assert symbolic_power(g, 2) == power(edge_ideal(g), 2)
-
-    def test_first_power_is_edge_ideal(self):
-        g = construct_example("cycle", t=5)
-        assert symbolic_power(g, 1) == edge_ideal(g)
+            assert symbolic_square(g) == power(edge_ideal(g), 2)
 
     def test_edgeless_is_zero(self):
-        assert symbolic_power(Graph(3, (0, 0, 0)), 2).is_zero()
+        g = Graph(3, (0, 0, 0))
+        assert symbolic_square(g).is_zero()
+        assert symbolic_square_by_covers(g).is_zero()
 
-    def test_guard(self):
-        with pytest.raises(GuardError):
-            symbolic_power(construct_example("cycle", t=4), 4)
+    def test_matches_cover_oracle_on_dense_graphs(self):
+        # criterion 3b covers p <= 0.8; dense G^c are where the bounds bite
+        rng = random.Random(41)
+        for p in (0.8, 0.9):
+            for _ in range(8):
+                g = random_graph(rng, rng.randint(4, 8), p)
+                assert symbolic_square(g) == symbolic_square_by_covers(g), (p, g.edges())
+        k6 = construct_example("complete", t=6)
+        assert symbolic_square(k6) == symbolic_square_by_covers(k6)
 
     def test_sandwich(self):
+        # I^2 in I^(2) in I, for the runtime route and the cover oracle alike
         rng = random.Random(17)
         for _ in range(20):
             g = random_graph(rng, rng.randint(2, 7), 0.5)
             if g.num_edges() == 0:
                 continue
             i = edge_ideal(g)
-            for m in (2, 3):
-                sym = symbolic_power(g, m)
-                assert is_subideal_of(power(i, m), sym)
+            for sym in (symbolic_square(g), symbolic_square_by_covers(g)):
+                assert is_subideal_of(power(i, 2), sym)
                 assert is_subideal_of(sym, i)
 
     def test_variable_power_ideal(self):
@@ -237,7 +255,7 @@ class TestPolarization:
 
     def test_unit_rejected(self):
         with pytest.raises(ValueError):
-            polarize(MonomialIdeal.unit(2))
+            polarize(UNIT2)
 
 
 class TestColonSquareStructure:
@@ -302,8 +320,8 @@ class TestParseFormat:
     def test_format_examples(self):
         assert format_monomial(M(2, 0, 1)) == "x1^2*x3"
         assert format_monomial(M(0, 0)) == "1"
-        assert format_ideal(MonomialIdeal.zero(2)) == "0\n"
-        assert format_ideal(MonomialIdeal.unit(2)) == "1\n"
+        assert format_ideal(ZERO2) == "0\n"
+        assert format_ideal(UNIT2) == "1\n"
 
     def test_round_trip(self):
         rng = random.Random(9)

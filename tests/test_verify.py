@@ -16,10 +16,12 @@ from srdepth.verify import (
     construct_example,
     fuzz_campaign,
     search_depth2,
+    second_powers,
     verify_graph,
 )
 
-from helpers import lemma_arithmetic
+from conftest import graph_corpus
+from helpers import is_subideal_of, lemma_arithmetic
 
 
 class TestBounds:
@@ -139,6 +141,30 @@ class TestVerifyGraph:
         row = r.csv_row()
         assert row == "6,6,2,0,2,1,0,2,1"
         assert len(row.split(",")) == len(CSV_HEADER.split(","))
+
+
+class TestSecondPowers:
+    def test_guard_count_is_polarized_size(self):
+        # the guard's count, n plus the non-isolated vertices of G^c, is the
+        # polarized ring size of both second powers
+        for g in graph_corpus(seed=61, count=40, n_max=9):
+            gc = g.complement()
+            count = g.n + sum(1 for row in gc.adj if row)
+            for ideal in second_powers(g, allow_large=True):
+                if not ideal.is_zero():
+                    assert sum(max(e, 1) for e in ideal.max_exponents()) == count
+
+    def test_guard_before_building(self):
+        c9 = construct_example("cycle", t=9)
+        with pytest.raises(GuardError, match="polarized ring has 18 variables"):
+            second_powers(c9)
+        symb, square = second_powers(c9, allow_large=True)
+        assert square.gens and is_subideal_of(square, symb)
+
+    def test_complete_graph_has_zero_powers(self):
+        # zero ideals have no polarized scan, so n = 20 passes the guard
+        symb, square = second_powers(construct_example("complete", t=20))
+        assert symb.is_zero() and square.is_zero()
 
 
 class TestFuzz:
