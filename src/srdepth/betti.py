@@ -9,6 +9,12 @@ G_a = {j : a_j < 0}; for a squarefree I, Delta_a is the link of G_a.
 Both scans skip complexes that are cones, as when some vertex lies in no
 enclosed minimal non-face, and a complex whose minimal non-faces all have at
 least q vertices has vanishing reduced homology below degree q - 2.
+
+The Hochster scan walks the vertex subsets depth first, each W's children
+being W + {v} for v above W's top vertex.  The faces of Delta|_{W+v} are
+those of Delta|_W plus the faces whose top vertex is v, so a child extends
+its parent's face counts and per-size echelon forms by those faces' columns
+alone.  A subtree is walked only if some subset in it passes the cone test.
 """
 
 from __future__ import annotations
@@ -18,9 +24,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, clique_complex, complex_from_squarefree_ideal, stanley_reisner_ideal
 from .graphs import Graph, GuardError, bits, mask_of
-# boundary_rank is unused here; perfbench's tracer test patches the
-# srdepth.betti.boundary_rank binding, so the import stays.
-from .homology import GF2, FaceColumns, FieldSpec, betti_from_sizes, boundary_rank  # noqa: F401
+from .homology import GF2, FaceColumns, FieldSpec, betti_from_sizes, boundary_rank
 from .monomials import MonomialIdeal, edge_ideal
 
 SUBSET_SCAN_LIMIT = 14
@@ -149,18 +153,59 @@ def _filtered_sizes(w: int, faces: FaceColumns, kmax: int, masks: tuple[int, ...
 
 
 def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec) -> BettiTable:
-    """Betti table of K[c] by scanning every vertex subset; gen_masks are c's minimal non-faces."""
-    faces = FaceColumns(c.faces_by_size(), field)
-    cover, gmin = _subset_covers(c.n, gen_masks)
+    """Betti table of K[c] by a depth-first walk over vertex subsets; gen_masks are c's minimal non-faces.
+
+    The children of w are w | {v} for v above w's top vertex.  A child copies
+    w's face counts, ranks and per-size pivots and reduces into the copies
+    only the columns of the faces whose top vertex is v.  Subsets that fail
+    the cover test are walked only when a subset below them passes it.
+    """
+    n = c.n
+    by_size = c.faces_by_size()
+    faces = FaceColumns(by_size, field)
+    top = len(by_size)
+    # by_top[v][k - 2]: (face, column) of the size-k faces whose top vertex is v, k >= 2
+    by_top: list[list[list]] = [[[] for _ in range(2, top)] for _ in range(n)]
+    for k in range(2, top):
+        for f, col in faces.columns(k).items():
+            by_top[f.bit_length() - 1][k - 2].append((f, col))
+    vertices = set(by_size[1]) if top > 1 else set()
+    cover, gmin = _subset_covers(n, gen_masks)
+    keep = [bool(gmin[w]) and not w & ~cover[w] for w in range(1 << n)]
+    need = keep[:]  # need[w]: w or a subset walked below it passes the cover test
+    for w in range((1 << n) - 1, 0, -1):
+        if need[w]:
+            need[w ^ 1 << (w.bit_length() - 1)] = True
     entries = {(0, 0): 1}
-    for w in range(1, 1 << c.n):
-        if not gmin[w] or w & ~cover[w]:
-            continue
-        j = w.bit_count()
-        dims = betti_from_sizes(_filtered_sizes(w, faces, j), field, ell_lo=gmin[w] - 2)
-        for ell, d in dims.items():
-            key = (j - ell - 1, j)
-            entries[key] = entries.get(key, 0) + d
+
+    def walk(w: int, f: list[int], r: list[int], pivots: list[dict]) -> None:
+        for v in range(w.bit_length(), n):
+            x = w | 1 << v
+            if not need[x]:
+                continue
+            fx, rx, px = f[:], r[:], pivots[:]
+            if 1 << v in vertices:
+                # every vertex maps onto the empty face, so d_1 has rank 1
+                fx[1] += 1
+                rx[1] = 1
+                outside = ~x
+                for k, group in enumerate(by_top[v], 2):
+                    new = [col for face, col in group if face & outside == 0]
+                    if not new:
+                        break  # a size-(k+1) face with top v contains a size-k one
+                    fx[k] += len(new)
+                    px[k] = dict(pivots[k])
+                    rx[k] += boundary_rank(new, field, px[k])
+            if keep[x]:
+                j = x.bit_count()
+                for ell in range(gmin[x] - 2, min(j, top - 1)):
+                    d = fx[ell + 1] - rx[ell + 1] - rx[ell + 2]
+                    if d:
+                        key = (j - ell - 1, j)
+                        entries[key] = entries.get(key, 0) + d
+            walk(x, fx, rx, px)
+
+    walk(0, [1] + [0] * top, [0] * (top + 1), [{} for _ in range(top)])
     return BettiTable(c.n, entries)
 
 

@@ -16,7 +16,14 @@ first time a scan reads its size, with rows indexed in the whole complex's
 group of faces one vertex smaller.  A subcomplex (the faces inside a vertex
 set, possibly minus those containing given masks) selects its columns as
 they are: every row such a column touches is a face of the subcomplex, so
-only the rank step runs per subcomplex.
+no column is rebuilt per subcomplex.
+
+Each kernel can extend a caller's echelon form: given a ``pivots`` dict from
+an earlier call, it reduces the new columns against those pivots, adds one
+pivot per independent column and returns the added rank.  It only adds
+keys, never changes an existing pivot, so the rank of all columns reduced
+into a dict is its length, and a caller that walks nested subcomplexes can
+reduce a larger one's extra columns into a copy of the smaller one's dict.
 """
 
 from __future__ import annotations
@@ -58,9 +65,14 @@ GF3 = FieldSpec(3)
 RATIONAL = FieldSpec(0)
 
 
-def rank_gf2(columns: Sequence[int]) -> int:
-    """Rank of a GF(2) matrix given as integer column bitmasks."""
-    pivots: dict[int, int] = {}
+def rank_gf2(columns: Sequence[int], pivots: Optional[dict[int, int]] = None) -> int:
+    """Rank of a GF(2) matrix given as integer column bitmasks.
+
+    With ``pivots`` (lowest row bit -> pivot column), the columns extend that
+    echelon form and the added rank is returned.
+    """
+    if pivots is None:
+        pivots = {}
     rank = 0
     for v in columns:
         while v:
@@ -74,13 +86,16 @@ def rank_gf2(columns: Sequence[int]) -> int:
     return rank
 
 
-def rank_gf3(columns: Sequence[tuple[int, int]]) -> int:
+def rank_gf3(columns: Sequence[tuple[int, int]],
+             pivots: Optional[dict[int, tuple[int, int]]] = None) -> int:
     """Rank of a GF(3) matrix given as (ones, twos) row bitmask pairs.
 
     Each pivot is stored scaled so that its lowest row holds 1; its negation
-    is the swapped pair.
+    is the swapped pair.  With ``pivots`` (lowest row bit -> pivot pair), the
+    columns extend that echelon form and the added rank is returned.
     """
-    pivots: dict[int, tuple[int, int]] = {}
+    if pivots is None:
+        pivots = {}
     rank = 0
     for x1, x2 in columns:
         while v := x1 | x2:
@@ -97,7 +112,8 @@ def rank_gf3(columns: Sequence[tuple[int, int]]) -> int:
     return rank
 
 
-def rank_sparse(columns: Sequence[dict[int, int]], characteristic: int) -> int:
+def rank_sparse(columns: Sequence[dict[int, int]], characteristic: int,
+                pivots: Optional[dict[int, tuple[int, dict]]] = None) -> int:
     """Rank over GF(p) (p prime) or the rationals (characteristic 0).
 
     Columns are sparse {row: coefficient} dicts of ints, nonzero mod p;
@@ -105,9 +121,12 @@ def rank_sparse(columns: Sequence[dict[int, int]], characteristic: int) -> int:
     Over the rationals elimination is fraction-free: work = a * work - c *
     pivot, with a/c the ratio of the pivot's and work's leading entries in
     lowest terms, after which work is divided by the gcd of its entries.
+    With ``pivots`` (top row -> (lead, rest of the pivot column)), the
+    columns extend that echelon form and the added rank is returned.
     """
     p = characteristic
-    pivots: dict[int, tuple[int, dict]] = {}
+    if pivots is None:
+        pivots = {}
     rank = 0
     for col in columns:
         work = dict(col)
@@ -203,15 +222,16 @@ class FaceColumns:
         return cols
 
 
-def boundary_rank(columns: Sequence, field: FieldSpec) -> int:
+def boundary_rank(columns: Sequence, field: FieldSpec, pivots: Optional[dict] = None) -> int:
+    """Rank of the columns in the field's kernel, or the rank they add to ``pivots``."""
     if not columns:
         return 0
     p = field.characteristic
     if p == 2:
-        return rank_gf2(columns)
+        return rank_gf2(columns, pivots)
     if p == 3:
-        return rank_gf3(columns)
-    return rank_sparse(columns, p)
+        return rank_gf3(columns, pivots)
+    return rank_sparse(columns, p, pivots)
 
 
 def betti_from_sizes(columns_by_size: Sequence[Sequence], field: FieldSpec,

@@ -80,11 +80,19 @@ class MonomialIdeal:
 
 
 def minimalize(gens: Sequence[Monomial], n: int) -> MonomialIdeal:
-    """Divisibility-minimal antichain of the given generators, sorted."""
+    """Divisibility-minimal antichain of the given generators, sorted.
+
+    A monomial divides another of its degree only when they are equal, so each
+    generator is tested against the kept ones of strictly lower degree.
+    """
     ordered = sorted(set(gens), key=lambda g: (degree(g), g))
     kept: list[Monomial] = []
+    lower: list[Monomial] = []
+    deg = None
     for g in ordered:
-        if not any(divides(h, g) for h in kept):
+        if degree(g) != deg:
+            deg, lower = degree(g), kept[:]
+        if not any(divides(h, g) for h in lower):
             kept.append(g)
     return MonomialIdeal(n, tuple(sorted(kept)))
 

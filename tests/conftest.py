@@ -2,7 +2,7 @@
 
 The homology oracle here deliberately shares no code with the package: it
 works on vertex tuples, builds dense boundary matrices, and takes ranks with
-sympy over the rationals.
+sympy's dense ``DomainMatrix`` over the rationals.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ import itertools
 import random
 
 import pytest
-import sympy
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from srdepth.graphs import Graph, bits
 
@@ -48,18 +49,20 @@ def oracle_reduced_betti(faces: set[tuple[int, ...]]) -> dict[int, int]:
         group.sort()
     top = max(by_dim)
 
-    def bmatrix(d: int) -> sympy.Matrix:
+    def brank(d: int) -> int:
         rows = by_dim.get(d - 1, [])
         cols = by_dim.get(d, [])
-        m = sympy.zeros(len(rows), len(cols))
+        if not rows or not cols:
+            return 0
+        m = [[QQ(0)] * len(cols) for _ in rows]
         idx = {f: i for i, f in enumerate(rows)}
         for j, f in enumerate(cols):
             for pos in range(len(f)):
                 sub = f[:pos] + f[pos + 1:]
-                m[idx[sub], j] = (-1) ** pos
-        return m
+                m[idx[sub]][j] = QQ((-1) ** pos)
+        return DomainMatrix(m, (len(rows), len(cols)), QQ).rank()
 
-    ranks = {d: bmatrix(d).rank() for d in range(0, top + 2)}
+    ranks = {d: brank(d) for d in range(0, top + 2)}
     dims = {}
     for d in range(-1, top + 1):
         val = len(by_dim.get(d, [])) - ranks.get(d, 0) - ranks.get(d + 1, 0)
@@ -78,18 +81,22 @@ def oracle_cliques(g: Graph) -> set[tuple[int, ...]]:
     return out
 
 
-def oracle_betti_table(g: Graph) -> dict[tuple[int, int], int]:
-    """Graded Betti table by brute force over every vertex subset."""
-    cliques = oracle_cliques(g)
+def oracle_hochster_table(n: int, faces: set[tuple[int, ...]]) -> dict[tuple[int, int], int]:
+    """Graded Betti table of a complex on n vertices, summed over every vertex subset."""
     table: dict[tuple[int, int], int] = {}
-    for j in range(g.n + 1):
-        for w in itertools.combinations(range(g.n), j):
+    for j in range(n + 1):
+        for w in itertools.combinations(range(n), j):
             wset = set(w)
-            rest = {f for f in cliques if set(f) <= wset}
+            rest = {f for f in faces if set(f) <= wset}
             for ell, d in oracle_reduced_betti(rest).items():
                 key = (j - ell - 1, j)
                 table[key] = table.get(key, 0) + d
     return table
+
+
+def oracle_betti_table(g: Graph) -> dict[tuple[int, int], int]:
+    """Graded Betti table of g's clique complex by brute force over every vertex subset."""
+    return oracle_hochster_table(g.n, oracle_cliques(g))
 
 
 @pytest.fixture(scope="session")

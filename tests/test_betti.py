@@ -26,11 +26,11 @@ from srdepth.complexes import (
     stanley_reisner_ideal,
 )
 from srdepth.graphs import Graph, GuardError, is_chordal, mask_of, vertex_connectivity
-from srdepth.homology import GF2, GF3, RATIONAL
+from srdepth.homology import GF2, GF3, RATIONAL, FieldSpec
 from srdepth.monomials import MonomialIdeal, edge_ideal, minimalize, parse_ideal, polarize
 from srdepth.verify import construct_example, random_chordal_graph, second_powers
 
-from conftest import graph_corpus, oracle_betti_table, random_graph
+from conftest import graph_corpus, masks_to_tuples, oracle_betti_table, oracle_hochster_table, random_graph
 from helpers import from_faces, link, reduced_betti
 
 C4 = construct_example("cycle", t=4)
@@ -105,6 +105,54 @@ class TestSubsetCovers:
             for w in range(1 << n):
                 has, cover_w, gmin_w = betti._active_generators(w, gens)
                 assert (cover[w], gmin[w]) == (cover_w, gmin_w) and has == (gmin[w] > 0), (n, gens, w)
+
+
+@pytest.fixture(scope="module")
+def oracle_graphs() -> list[tuple[Graph, dict]]:
+    """Seeded graphs at n = 7..9 and p = 0.2, 0.5, 0.8 with their sympy Hochster tables."""
+    rng = random.Random(43)
+    graphs = [random_graph(rng, n, p) for n in (7, 8, 9) for p in (0.2, 0.5, 0.8)]
+    return [(g, oracle_betti_table(g)) for g in graphs]
+
+
+@pytest.fixture(scope="module")
+def oracle_complexes() -> list[tuple[SimplicialComplex, dict]]:
+    """Non-flag complexes with their sympy Hochster tables."""
+    # x1 is a ghost vertex; then the hollow triangle, then seeded random ideals
+    ghost = complex_from_squarefree_ideal(MonomialIdeal.from_squarefree_masks(6, [0b1, 0b1110, 0b10100, 0b111010]))
+    assert 0b1 not in ghost.faces and 0b10 in ghost.faces
+    complexes = [ghost, from_faces(3, [0b011, 0b101, 0b110])]
+    rng = random.Random(47)
+    for _ in range(8):
+        n = rng.randint(4, 7)
+        gens = [mask_of(rng.sample(range(n), rng.randint(1, 4))) for _ in range(rng.randint(2, 6))]
+        complexes.append(complex_from_squarefree_ideal(MonomialIdeal.from_squarefree_masks(n, gens)))
+    return [(c, oracle_hochster_table(c.n, masks_to_tuples(c.faces))) for c in complexes]
+
+
+class TestHochsterWalk:
+    """The depth-first subset walk against the sympy Hochster sum."""
+
+    @pytest.mark.parametrize("field", [RATIONAL, GF2, GF3, FieldSpec(5)], ids=["QQ", "GF2", "GF3", "GF5"])
+    def test_graphs_match_oracle(self, field, oracle_graphs):
+        for g, expected in oracle_graphs:
+            assert graph_betti_table(g, field).entries == expected, g
+            assert graded_betti_table(clique_complex(g), field).entries == expected, g
+
+    @pytest.mark.parametrize("field", [RATIONAL, GF2, GF3, FieldSpec(7)], ids=["QQ", "GF2", "GF3", "GF7"])
+    def test_non_flag_complexes_match_oracle(self, field, oracle_complexes):
+        for c, expected in oracle_complexes:
+            assert graded_betti_table(c, field).entries == expected, sorted(c.faces)
+
+    def test_kept_subset_below_a_cone(self):
+        # in C4 the parent {0, 1, 2} of the whole vertex set is a cone on 1, yet
+        # the whole set carries beta_{2,4}: the walk must pass through the cone
+        c4_gens = edge_ideal(C4.complement()).support_masks()
+        cover, gmin = betti._subset_covers(4, c4_gens)
+        passes = [bool(gmin[w]) and cover[w] == w for w in range(16)]
+        assert passes[0b1111] and not passes[0b0111]
+        for field in (RATIONAL, GF2, GF3):
+            assert graph_betti_table(C4, field).entries == oracle_betti_table(C4) == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
 
 
 class TestGraphBettiTable:

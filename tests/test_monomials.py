@@ -74,6 +74,22 @@ class TestMinimalize:
         for g, h in itertools.combinations(a.gens, 2):
             assert not divides(g, h) and not divides(h, g)
 
+    def test_matches_bruteforce_antichain(self):
+        # mixed degrees with repeats: the kept set is every generator that no
+        # other distinct generator divides
+        rng = random.Random(23)
+        for _ in range(80):
+            n = rng.randint(1, 4)
+            gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 12))]
+            gens += rng.sample(gens, min(len(gens), 3))
+            expected = sorted({g for g in gens if not any(h != g and divides(h, g) for h in gens)})
+            assert minimalize(gens, n).gens == tuple(expected), gens
+
+    def test_equal_degree_square_is_the_products(self):
+        # every generator of the square of an edge ideal has degree 4
+        i = edge_ideal(construct_example("cycle", t=14).complement())
+        assert power(i, 2).gens == tuple(sorted({mul(a, b) for a in i.gens for b in i.gens}))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MonomialIdeal(2, ((1,),))
