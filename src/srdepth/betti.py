@@ -11,10 +11,13 @@ enclosed minimal non-face, and a complex whose minimal non-faces all have at
 least q vertices has vanishing reduced homology below degree q - 2.
 
 The Hochster scan walks the vertex subsets depth first, each W's children
-being W + {v} for v above W's top vertex.  The faces of Delta|_{W+v} are
-those of Delta|_W plus the faces whose top vertex is v, so a child extends
-its parent's face counts and per-size echelon forms by those faces' columns
-alone.  A subtree is walked only if some subset in it passes the cone test.
+being W + {v} for v above W's top vertex.  Delta|_{W+v} adds to Delta|_W just
+the faces whose top vertex is v, and W + v adds to W just the minimal
+non-faces whose top vertex is v, so a child extends its parent's face counts,
+echelon forms and cover test by those alone.  A child's subtree is walked only
+if each vertex it leaves uncovered lies in a minimal non-face inside W + v
+plus the vertices above v.  The prune is exact: adding those non-faces to
+W + v gives a subset in the subtree that passes.
 """
 
 from __future__ import annotations
@@ -98,28 +101,6 @@ def _active_generators(w: int, gen_masks: list[int]) -> tuple[bool, int, int]:
     return has, cover, gmin
 
 
-def _subset_covers(n: int, gen_masks: list[int]) -> tuple[list[int], list[int]]:
-    """_active_generators' cover and min support size (0 if none) for every w < 2^n.
-
-    The generators inside w are those inside w minus its lowest vertex plus
-    those inside w whose own lowest vertex is w's.
-    """
-    by_low: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for gm in gen_masks:
-        by_low[(gm & -gm).bit_length() - 1].append((gm, gm.bit_count()))
-    cover, gmin = [0] * (1 << n), [0] * (1 << n)
-    for w in range(1, 1 << n):
-        low = w & -w
-        cw, gw = cover[w ^ low], gmin[w ^ low]
-        for gm, size in by_low[low.bit_length() - 1]:
-            if gm & ~w == 0:
-                cw |= gm
-                if not gw or size < gw:
-                    gw = size
-        cover[w], gmin[w] = cw, gw
-    return cover, gmin
-
-
 def guard_subset_scan(n: int, allow_large: bool) -> None:
     """Raise GuardError before a 2^n subset scan over the size limit."""
     if n > SUBSET_SCAN_LIMIT and not allow_large:
@@ -156,9 +137,12 @@ def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec
     """Betti table of K[c] by a depth-first walk over vertex subsets; gen_masks are c's minimal non-faces.
 
     The children of w are w | {v} for v above w's top vertex.  A child copies
-    w's face counts, ranks and per-size pivots and reduces into the copies
-    only the columns of the faces whose top vertex is v.  Subsets that fail
-    the cover test are walked only when a subset below them passes it.
+    w's face counts, ranks, per-size pivots, cover (the union of the generators
+    inside w) and least generator size, and adds to the copies only the faces
+    and generators inside it whose top vertex is v.  It passes the cover test
+    iff its cover is all of it.  Its subtree is walked only if each vertex it
+    leaves uncovered lies in a generator inside it plus the vertices above v,
+    which is exactly when adding those generators gives a subset that passes.
     """
     n = c.n
     by_size = c.faces_by_size()
@@ -170,25 +154,29 @@ def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec
         for f, col in faces.columns(k).items():
             by_top[f.bit_length() - 1][k - 2].append((f, col))
     vertices = set(by_size[1]) if top > 1 else set()
-    cover, gmin = _subset_covers(n, gen_masks)
-    keep = [bool(gmin[w]) and not w & ~cover[w] for w in range(1 << n)]
-    need = keep[:]  # need[w]: w or a subset walked below it passes the cover test
-    for w in range((1 << n) - 1, 0, -1):
-        if need[w]:
-            need[w ^ 1 << (w.bit_length() - 1)] = True
+    gens_by_top = [[(gm, gm.bit_count()) for gm in gen_masks if gm.bit_length() == v + 1] for v in range(n)]
+    gens_at = [[gm for gm in gen_masks if gm >> u & 1] for u in range(n)]  # the generators holding u
     entries = {(0, 0): 1}
 
-    def walk(w: int, f: list[int], r: list[int], pivots: list[dict]) -> None:
+    def walk(w: int, cover: int, gmin: int, f: list[int], r: list[int], pivots: list[dict]) -> None:
         for v in range(w.bit_length(), n):
             x = w | 1 << v
-            if not need[x]:
-                continue
+            outside = ~x
+            cx, gx = cover, gmin
+            for gm, size in gens_by_top[v]:
+                if gm & outside == 0:
+                    cx |= gm
+                    if size < gx:
+                        gx = size
+            if cx != x:
+                missing = (2 << v) - 1 & outside  # outside every subset in x's subtree
+                if any(all(gm & missing for gm in gens_at[u]) for u in bits(x & ~cx)):
+                    continue
             fx, rx, px = f[:], r[:], pivots[:]
             if 1 << v in vertices:
                 # every vertex maps onto the empty face, so d_1 has rank 1
                 fx[1] += 1
                 rx[1] = 1
-                outside = ~x
                 for k, group in enumerate(by_top[v], 2):
                     new = [col for face, col in group if face & outside == 0]
                     if not new:
@@ -196,16 +184,16 @@ def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec
                     fx[k] += len(new)
                     px[k] = dict(pivots[k])
                     rx[k] += boundary_rank(new, field, px[k])
-            if keep[x]:
+            if cx == x:
                 j = x.bit_count()
-                for ell in range(gmin[x] - 2, min(j, top - 1)):
+                for ell in range(gx - 2, min(j, top - 1)):
                     d = fx[ell + 1] - rx[ell + 1] - rx[ell + 2]
                     if d:
                         key = (j - ell - 1, j)
                         entries[key] = entries.get(key, 0) + d
-            walk(x, fx, rx, px)
+            walk(x, cx, gx, fx, rx, px)
 
-    walk(0, [1] + [0] * top, [0] * (top + 1), [{} for _ in range(top)])
+    walk(0, 0, n + 1, [1] + [0] * top, [0] * (top + 1), [{} for _ in range(top)])
     return BettiTable(c.n, entries)
 
 

@@ -12,47 +12,49 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import graphs as gr
 from . import monomials as mono
 from . import verify as ver
 from .betti import depth_monomial_quotient, graph_betti_table, graph_depth, guard_subset_scan, kappa_via_betti
+from .complexes import guard_clique_complex
 from .graphs import Graph
 from .homology import FieldSpec
 
 _EXAMPLE_RE = re.compile(r"^(c|p|k|jc)(\d+(?:,\d+)*)$")
+_FAMILIES = {"c": "cycle", "p": "path", "k": "complete", "jc": "joined_cycles"}
 
 
-def resolve_example(name: str) -> Graph:
+def resolve_example(name: str, check: Callable[[int], None] = lambda n: None) -> Graph:
     """Names: figure1, cN (cycle), pN (path), kN (complete), kA,B
-    (bipartite), kT,T,T (tripartite), jcT (joined cycles)."""
+    (bipartite), kT,T,T (tripartite), jcT (joined cycles).  check(n) runs on
+    the vertex count the name gives before the graph is built."""
     low = name.lower()
-    if low in ("figure1", "fig1"):
-        return ver.construct_example("figure1")
     m = _EXAMPLE_RE.match(low)
-    if not m:
+    kind, nums = (m.group(1), [int(x) for x in m.group(2).split(",")]) if m else ("", [])
+    if low in ("figure1", "fig1"):
+        n, family, params = 6, "figure1", {}
+    elif len(nums) == 1:
+        n, family, params = nums[0] * (2 if kind == "jc" else 1), _FAMILIES[kind], {"t": nums[0]}
+    elif kind == "k" and len(nums) == 2:
+        n, family, params = sum(nums), "bipartite", {"a": nums[0], "b": nums[1]}
+    elif kind == "k" and len(nums) == 3 and len(set(nums)) == 1:
+        n, family, params = 3 * nums[0], "multipartite", {"t": nums[0]}
+    else:
         raise ValueError(f"unknown example name {name!r}")
-    kind, nums = m.group(1), [int(x) for x in m.group(2).split(",")]
-    if kind == "c" and len(nums) == 1:
-        return ver.construct_example("cycle", t=nums[0])
-    if kind == "p" and len(nums) == 1:
-        return ver.construct_example("path", t=nums[0])
-    if kind == "jc" and len(nums) == 1:
-        return ver.construct_example("joined_cycles", t=nums[0])
-    if kind == "k":
-        if len(nums) == 1:
-            return ver.construct_example("complete", t=nums[0])
-        if len(nums) == 2:
-            return ver.construct_example("bipartite", a=nums[0], b=nums[1])
-        if len(nums) == 3 and len(set(nums)) == 1:
-            return ver.construct_example("multipartite", t=nums[0])
-    raise ValueError(f"unknown example name {name!r}")
+    check(n)
+    return ver.construct_example(family, **params)
 
 
 def load_graph(args: argparse.Namespace) -> Graph:
+    """The --name or --input graph; the guards on n run on its declared vertex count before it is built."""
+    def guard(n: int) -> None:
+        guard_subset_scan(n, args.allow_large)
+        guard_clique_complex(n)
+
     if args.name:
-        return resolve_example(args.name)
+        return resolve_example(args.name, guard)
     if not args.input:
         raise ValueError("provide exactly one of --input or --name")
     path = Path(args.input)
@@ -60,7 +62,7 @@ def load_graph(args: argparse.Namespace) -> Graph:
     fmt = args.input_format
     if fmt == "auto":
         fmt = "graph6" if path.suffix in (".g6", ".graph6") else "edge-list"
-    return gr.parse_graph(text, fmt)
+    return gr.parse_graph(text, fmt, guard)
 
 
 def field_of(args: argparse.Namespace) -> FieldSpec:
@@ -161,7 +163,6 @@ def cmd_kappa(args: argparse.Namespace) -> int:
 def cmd_powers(args: argparse.Namespace) -> int:
     g = load_graph(args)
     field = field_of(args)
-    guard_subset_scan(g.n, args.allow_large)
     symb, square = ver.second_powers(g, allow_large=args.allow_large)
     d1 = graph_depth(g, field, allow_large=args.allow_large).depth
     d2 = depth_monomial_quotient(symb, field, allow_large=args.allow_large).depth
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _verb(sub, "verify", cmd_verify, "verify every inequality on one graph", with_csv,
               aliases=("example",))
     p.add_argument("--jobs", type=int_at_least(1, "positive_int"), default=1,
-                   help="worker count; output is identical for any value")
+                   help="accepted for N >= 1 and changes nothing: verify checks one graph in one process")
     p.add_argument("--timings", action="store_true", help=timings_help)
     p.add_argument("--powers", action="store_true", help="include second-power depth checks")
 

@@ -61,10 +61,15 @@ class SimplicialComplex:
         return grouped
 
 
+def guard_clique_complex(n: int) -> None:
+    """Raise GuardError before the clique complex of an n-vertex graph is built."""
+    if n > CLIQUE_COMPLEX_LIMIT:
+        raise GuardError(f"clique complex limited to n <= {CLIQUE_COMPLEX_LIMIT}")
+
+
 def clique_complex(g: Graph) -> SimplicialComplex:
     """All cliques of g, including the empty face and all singletons."""
-    if g.n > CLIQUE_COMPLEX_LIMIT:
-        raise GuardError(f"clique complex limited to n <= {CLIQUE_COMPLEX_LIMIT}")
+    guard_clique_complex(g.n)
     faces = [0]
 
     def expand(clique: int, cand: int) -> None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 BRUTE_FORCE_LIMIT = 16
 
@@ -261,8 +261,9 @@ def is_chordal(g: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     return True, peo
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Edge-list format: first line n, then 1-based "u v" lines; '#' comments."""
+def parse_edge_list(text: str, check: Callable[[int], None] = lambda n: None) -> Graph:
+    """Edge-list format: first line n, then 1-based "u v" lines; '#' comments.
+    check(n) runs on the declared vertex count before the graph is built."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -291,11 +292,13 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u - 1, v - 1))
     if n is None:
         raise ParseError("empty input: missing vertex count line")
+    check(n)
     return Graph.from_edges(n, edges)
 
 
-def parse_graph6(line: str) -> Graph:
-    """One graph in standard graph6 encoding (read-only ingestion)."""
+def parse_graph6(line: str, check: Callable[[int], None] = lambda n: None) -> Graph:
+    """One graph in standard graph6 encoding (read-only ingestion).
+    check(n) runs on the size field's vertex count before the graph is built."""
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -320,6 +323,7 @@ def parse_graph6(line: str) -> Graph:
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise ParseError(f"graph6 length mismatch for n={n}: got {len(body)} data bytes")
+    check(n)
     bitstream = []
     for x in body:
         bitstream.extend((x >> shift) & 1 for shift in range(5, -1, -1))
@@ -333,14 +337,14 @@ def parse_graph6(line: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
+def parse_graph(text: str, fmt: str = "edge-list", check: Callable[[int], None] = lambda n: None) -> Graph:
     if fmt == "edge-list":
-        return parse_edge_list(text)
+        return parse_edge_list(text, check)
     if fmt == "graph6":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ParseError("empty graph6 input")
-        return parse_graph6(lines[0])
+        return parse_graph6(lines[0], check)
     raise ValueError(f"unknown graph format {fmt!r}")
 
 

@@ -88,25 +88,6 @@ class TestBettiTable:
             graded_betti_table(clique_complex(big))
 
 
-class TestSubsetCovers:
-    def test_matches_active_generators(self):
-        # the complements' edges of seeded graphs, and minimal non-faces of
-        # random complexes, whose sizes differ
-        rng = random.Random(31)
-        gen_lists = [(g.n, edge_ideal(g.complement()).support_masks())
-                     for g in graph_corpus(seed=31, count=20, n_max=10, n_min=1)]
-        for _ in range(12):
-            n = rng.randint(2, 10)
-            c = from_faces(n, [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 8))])
-            gen_lists.append((n, stanley_reisner_ideal(c).support_masks()))
-        for n, gens in gen_lists:
-            cover, gmin = betti._subset_covers(n, gens)
-            assert len(cover) == len(gmin) == 1 << n
-            for w in range(1 << n):
-                has, cover_w, gmin_w = betti._active_generators(w, gens)
-                assert (cover[w], gmin[w]) == (cover_w, gmin_w) and has == (gmin[w] > 0), (n, gens, w)
-
-
 @pytest.fixture(scope="module")
 def oracle_graphs() -> list[tuple[Graph, dict]]:
     """Seeded graphs at n = 7..9 and p = 0.2, 0.5, 0.8 with their sympy Hochster tables."""
@@ -148,11 +129,39 @@ class TestHochsterWalk:
         # in C4 the parent {0, 1, 2} of the whole vertex set is a cone on 1, yet
         # the whole set carries beta_{2,4}: the walk must pass through the cone
         c4_gens = edge_ideal(C4.complement()).support_masks()
-        cover, gmin = betti._subset_covers(4, c4_gens)
-        passes = [bool(gmin[w]) and cover[w] == w for w in range(16)]
-        assert passes[0b1111] and not passes[0b0111]
+        for w, passes in ((0b0111, False), (0b1111, True)):
+            has, cover, _ = betti._active_generators(w, c4_gens)
+            assert (has and cover == w) == passes
         for field in (RATIONAL, GF2, GF3):
             assert graph_betti_table(C4, field).entries == oracle_betti_table(C4) == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+
+    @pytest.mark.parametrize("u", [0, 4, 8])
+    def test_prune_skips_subsets_on_a_universal_vertex(self, monkeypatch, u):
+        # u is isolated in G^c, so every subset holding u, and every subset in
+        # its subtree, is a cone on u: the walk must never reduce a face on u
+        rng = random.Random(53)
+        g = random_graph(rng, 9, 0.5)
+        g = Graph.from_edges(9, g.edges() + [tuple(sorted((u, v))) for v in range(9) if v != u])
+        expected = oracle_betti_table(g)
+        built, reduced = [], []
+
+        class Recording(homology.FaceColumns):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        def recording_rank(columns, field, pivots=None):
+            reduced.extend(columns)
+            return homology.boundary_rank(columns, field, pivots)
+
+        monkeypatch.setattr(betti, "FaceColumns", Recording)
+        monkeypatch.setattr(betti, "boundary_rank", recording_rank)
+        assert graph_betti_table(g, RATIONAL).entries == expected
+        (faces,) = built
+        on_u = {id(col) for k in range(2, len(faces.by_size))
+                for f, col in faces.columns(k).items() if f >> u & 1}
+        assert on_u and reduced
+        assert not any(id(col) in on_u for col in reduced)
 
 
 class TestGraphBettiTable:

@@ -140,6 +140,39 @@ class TestResolveExample:
             resolve_example(name)
 
 
+BIG_INPUTS = {
+    "edges.txt": "3000000\n1 2\n",  # 12 bytes
+    # graph6: the size field for n = 3000, then all C(3000, 2) bits zero
+    "big.g6": "~" + "".join(chr(63 + (3000 >> s & 63)) for s in (12, 6, 0)) + "?" * (3000 * 2999 // 12),
+}
+
+
+class TestGuardsBeforeBuild:
+    """Graph verbs refuse an oversized graph from its declared vertex count, before building it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["kappa", "--name", "c120"],
+        ["depth", "--name", "k6000"],
+        ["depth", "--input", "edges.txt"],
+        ["betti", "--input", "big.g6"],
+    ])
+    def test_subset_guard(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        for name in BIG_INPUTS.keys() & set(argv):
+            (tmp_path / name).write_text(BIG_INPUTS[name])
+        (code, out, err), elapsed = run_timed(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: subset scan limited to n <= 14; override to force\n"
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("verb", ["depth", "betti", "kappa", "powers", "verify"])
+    def test_clique_complex_guard_under_override(self, capsys, verb):
+        (code, out, err), elapsed = run_timed(capsys, verb, "--name", "k3000", "--allow-large")
+        assert code == 2 and out == ""
+        assert err == "error: clique complex limited to n <= 24\n"
+        assert elapsed < 1.0
+
+
 class TestDepthCommand:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "depth", "--name", "c6")
