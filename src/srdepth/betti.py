@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
-from .complexes import SimplicialComplex, clique_complex, complex_from_squarefree_ideal, stanley_reisner_ideal
+from .complexes import (SimplicialComplex, clique_complex, complex_from_squarefree_ideal, guard_face_enumeration,
+                        stanley_reisner_ideal)
 from .graphs import Graph, GuardError, bits, mask_of
-from .homology import GF2, FaceColumns, FieldSpec, betti_from_sizes, boundary_rank
+from .homology import GF2, FaceColumns, FieldSpec, betti_from_sizes, boundary_columns, boundary_rank
 from .monomials import MonomialIdeal, edge_ideal
 
 SUBSET_SCAN_LIMIT = 14
@@ -86,19 +88,17 @@ class DepthResult:
     witness: tuple[tuple[int, ...], int]
 
 
-def _active_generators(w: int, gen_masks: list[int]) -> tuple[bool, int, int]:
-    """(any generator inside w, union of their supports, min support size)."""
-    cover = 0
-    gmin = 0
-    has = False
+def _active_generators(w: int, gen_masks: list[int]) -> tuple[int, int]:
+    """(union of the supports of the generators inside w, their least support size, 0 if none)."""
+    outside = ~w
+    cover, gmin = 0, w.bit_length()  # no generator inside w is larger
     for gm in gen_masks:
-        if gm & ~w == 0:
+        if gm & outside == 0:
             cover |= gm
             size = gm.bit_count()
-            if not has or size < gmin:
+            if size < gmin:
                 gmin = size
-            has = True
-    return has, cover, gmin
+    return cover, gmin if cover else 0  # a zero cover: no generator, or only the empty one
 
 
 def guard_subset_scan(n: int, allow_large: bool) -> None:
@@ -242,7 +242,7 @@ def _takayama_depth(c: SimplicialComplex, ideal: MonomialIdeal, field: FieldSpec
                 for t, level in enumerate(levels):
                     at = mask_of(j for j in bits(rest) if a[j] == t)
                     masks = [m | (lv & at) for m, lv in zip(masks, level)]
-                _, cover, gmin = _active_generators(rest, masks)
+                cover, gmin = _active_generators(rest, masks)
                 ell_hi = best - size - 2
                 if gmin == 0 or cover != rest or ell_hi < gmin - 2:
                     continue  # Delta_a is void or a cone, or cannot beat best
@@ -276,20 +276,45 @@ def graph_depth(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) 
 def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> int:
     """Vertex connectivity read off Betti vanishing.
 
-    Smallest |W| whose removal leaves nonzero degree-0 reduced homology of
-    the restricted clique complex, or n - 1 when no removal of at most
-    n - 2 vertices does.
+    Smallest |X| whose removal leaves nonzero degree-0 reduced homology of
+    the clique complex restricted to the other vertices, or n - 1 when no
+    removal of at most n - 2 vertices does.  The 1-skeleton of the clique
+    complex is g, and d_1 maps each vertex onto the empty face, so it has
+    rank 1: with k = |X|, dim H_0 = (n - k) - 1 - rank d_2, where d_2 is
+    the boundary map of the edges disjoint from X.
     """
-    if g.n < 2:
+    n = g.n
+    if n < 2:
         raise ValueError("kappa via Betti numbers needs n >= 2")
-    guard_subset_scan(g.n, allow_large)
-    skeleton = FaceColumns(clique_complex(g).faces_by_size()[:3], field)
-    for k in range(g.n - 1):
-        for combo in itertools.combinations(range(g.n), k):
-            rest = g.full_mask & ~mask_of(combo)
-            if betti_from_sizes(_filtered_sizes(rest, skeleton, 2), field, 0, 0):
+    guard_subset_scan(n, allow_large)
+    edges = sorted(1 << u | 1 << v for u, v in g.edges())
+    columns = list(zip(edges, boundary_columns(edges, [1 << v for v in range(n)], field.characteristic)))
+    for k in range(n - 1):
+        for combo in itertools.combinations(range(n), k):
+            x = mask_of(combo)
+            if n - k - 1 - boundary_rank([col for e, col in columns if e & x == 0], field):
                 return k
-    return g.n - 1
+    return n - 1
+
+
+def guard_monomial_quotient(n: int, gens: Sequence[Mapping[int, int]], allow_large: bool) -> None:
+    """Raise depth_monomial_quotient's errors for an n-variable ideal of {variable: exponent} generators.
+
+    In its order: the unit ideal, then, unless the ideal is zero, the
+    polarized-size guard on the sum of max(rho_j, 1) and the face-enumeration
+    limit.  Nothing of length n is built, so a parser can run it first.
+    """
+    if any(not any(e.values()) for e in gens):
+        raise ValueError("the unit ideal quotient is zero; depth undefined")
+    if not gens:
+        return
+    rho: dict[int, int] = {}
+    for e in gens:
+        for j, x in e.items():
+            if x > rho.get(j, 1):
+                rho[j] = x
+    guard_polarized_scan(n + sum(x - 1 for x in rho.values()), allow_large)
+    guard_face_enumeration(n)
 
 
 def depth_monomial_quotient(ideal: MonomialIdeal, field: FieldSpec = GF2, *,
@@ -299,10 +324,8 @@ def depth_monomial_quotient(ideal: MonomialIdeal, field: FieldSpec = GF2, *,
     The guard counts the variables of the polarization of I, the sum of
     max(rho_j, 1); this also bounds the number of degrees a scanned by 2^16.
     """
-    if ideal.is_unit():
-        raise ValueError("the unit ideal quotient is zero; depth undefined")
+    guard_monomial_quotient(ideal.num_vars, [dict(enumerate(g)) for g in ideal.gens], allow_large)
     if ideal.is_zero():
         return DepthResult(ideal.num_vars, 0, ((-1,) * ideal.num_vars, -1))
-    guard_polarized_scan(sum(max(e, 1) for e in ideal.max_exponents()), allow_large)
     radical = MonomialIdeal.from_squarefree_masks(ideal.num_vars, ideal.support_masks())
     return _takayama_depth(complex_from_squarefree_ideal(radical), ideal, field)

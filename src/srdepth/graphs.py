@@ -46,9 +46,8 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("adjacency length must equal vertex count")
-        full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> self.n:  # a neighbour >= n, or a negative row
                 raise ValueError(f"neighbor out of range at vertex {v + 1}")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v + 1}")

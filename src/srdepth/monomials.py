@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graphs import Graph, bits
 
@@ -176,12 +176,15 @@ def polarize(a: MonomialIdeal) -> Polarization:
 _TERM_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
-def parse_ideal(text: str, num_vars: int | None = None) -> MonomialIdeal:
+def parse_ideal(text: str, num_vars: int | None = None,
+                check: Callable[[int, list[dict[int, int]]], None] = lambda n, gens: None) -> MonomialIdeal:
     """Ideal text format: one generator per line, e.g. ``x1^2*x3``.
 
     A line ``1`` denotes the unit generator, a line ``0`` contributes no
     generator; blank lines and ``#`` comments are skipped.  ``num_vars``
-    defaults to the largest index seen.
+    defaults to the largest index seen.  check(n, gens) runs on the ring's
+    variable count and the generators as 0-based {variable: exponent} dicts
+    before any exponent tuple is built.
     """
     raw_gens: list[dict[int, int]] = []
     max_var = 0
@@ -208,6 +211,7 @@ def parse_ideal(text: str, num_vars: int | None = None) -> MonomialIdeal:
     n = max_var if num_vars is None else num_vars
     if n < max_var:
         raise ValueError(f"num_vars={n} but generator uses x{max_var}")
+    check(n, raw_gens)
     gens = [tuple(e.get(i, 0) for i in range(n)) for e in raw_gens]
     return minimalize(gens, n)
 

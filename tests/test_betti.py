@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -129,11 +130,15 @@ class TestHochsterWalk:
         # in C4 the parent {0, 1, 2} of the whole vertex set is a cone on 1, yet
         # the whole set carries beta_{2,4}: the walk must pass through the cone
         c4_gens = edge_ideal(C4.complement()).support_masks()
-        for w, passes in ((0b0111, False), (0b1111, True)):
-            has, cover, _ = betti._active_generators(w, c4_gens)
-            assert (has and cover == w) == passes
+        assert betti._active_generators(0b0111, c4_gens) == (0b0101, 2)
+        assert betti._active_generators(0b1111, c4_gens) == (0b1111, 2)
         for field in (RATIONAL, GF2, GF3):
             assert graph_betti_table(C4, field).entries == oracle_betti_table(C4) == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+
+    def test_active_generators_least_size_zero_means_none_or_empty(self):
+        assert betti._active_generators(0b011, [0b100]) == (0, 0)
+        assert betti._active_generators(0b011, [0b011, 0]) == (0b011, 0)
+        assert betti._active_generators(0b111, [0b110, 0b011, 0b1000]) == (0b111, 2)
 
     @pytest.mark.parametrize("u", [0, 4, 8])
     def test_prune_skips_subsets_on_a_universal_vertex(self, monkeypatch, u):
@@ -275,10 +280,35 @@ class TestLazyColumns:
             graph_depth(g, GF3)
             assert len(built) == len(set(built)) and set(built) == read
 
-    def test_kappa_builds_the_two_skeleton_once(self, monkeypatch):
-        built, _ = _record_column_builds(monkeypatch)
-        assert kappa_via_betti(K6_JOIN_TRIANGLES) == 6
-        assert sorted(built) == [0, 1, 2]
+    def test_kappa_builds_the_edge_columns_once(self, monkeypatch):
+        # kappa reads H_0 off the graph's own edges: no clique complex, one
+        # build of the size-2 columns, one rank per removal set
+        g = K6_JOIN_TRIANGLES
+        built, ranked = [], []
+        build, rank = betti.boundary_columns, betti.boundary_rank
+
+        def no_complex(g):
+            raise AssertionError("kappa built the clique complex")
+
+        def counting_build(faces_k, faces_km1, characteristic):
+            built.append(sorted({f.bit_count() for f in faces_k}))
+            return build(faces_k, faces_km1, characteristic)
+
+        def counting_rank(columns, field, pivots=None):
+            ranked.append(len(columns))
+            return rank(columns, field, pivots)
+
+        monkeypatch.setattr(betti, "clique_complex", no_complex)
+        monkeypatch.setattr(betti, "boundary_columns", counting_build)
+        monkeypatch.setattr(betti, "boundary_rank", counting_rank)
+        for field in (GF2, GF3, RATIONAL):
+            built.clear()
+            ranked.clear()
+            assert kappa_via_betti(g, field) == 6
+            assert built == [[2]]
+            # every removal set below size 6, then {0, ..., 5}, the first of size 6
+            assert len(ranked) == sum(math.comb(12, k) for k in range(6)) + 1
+            assert ranked[0] == g.num_edges() and ranked[-1] == 6
 
 
 @st.composite
@@ -312,7 +342,7 @@ class TestDepthRoutes:
 
 class TestKappaViaBetti:
     def test_matches_flow_kappa(self, medium_corpus):
-        for field in (GF2, GF3, RATIONAL):
+        for field in (GF2, GF3, FieldSpec(5), RATIONAL):
             for g in medium_corpus:
                 assert kappa_via_betti(g, field) == vertex_connectivity(g).kappa
 

@@ -442,3 +442,26 @@ class TestIdealDepthCommand:
         f.write_text("z1\n")
         code, _, err = run(capsys, "ideal-depth", "--ideal", str(f))
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("text, flags, message", [
+        ("x3000000\n", (), "polarized ring has 3000000 variables, over the 16 limit; override to force"),
+        ("x3000000\n", ("--allow-large",), "face enumeration limited to n <= 20"),
+        ("1\nx3000000^2\n", (), "the unit ideal quotient is zero; depth undefined"),
+        ("x1\n", ("--nvars", "3000000", "--allow-large"), "face enumeration limited to n <= 20"),
+    ])
+    def test_huge_variable_index_refused_before_build(self, capsys, tmp_path, text, flags, message):
+        # the guards run on the parsed generators, before any exponent tuple
+        # as long as the ring is built, in the order unit, zero, size, faces
+        f = tmp_path / "ideal.txt"
+        f.write_text(text)
+        (code, out, err), elapsed = run_timed(capsys, "ideal-depth", "--ideal", str(f), *flags)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+        assert elapsed < 1.0
+
+    def test_zero_ideal_skips_the_size_guards(self, capsys, tmp_path):
+        f = tmp_path / "ideal.txt"
+        f.write_text("0\n")
+        code, out, _ = run(capsys, "ideal-depth", "--ideal", str(f), "--nvars", "100")
+        assert code == 0
+        assert "ring has 100 variables" in out and "depth = 100" in out

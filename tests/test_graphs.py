@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,18 @@ class TestBasicOps:
             Graph.from_edges(2, [(0, 0)])
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(2, [(0, 2)])
+
+    @pytest.mark.parametrize("adj, vertex", [((-1, 0, 0), 1), ((0, 0b1000, 0), 2), ((0, 0, -8), 3)])
+    def test_row_out_of_range(self, adj, vertex):
+        # a negative row has bits at and above n, like a neighbour >= n
+        with pytest.raises(ValueError, match=f"neighbor out of range at vertex {vertex}"):
+            Graph(3, adj)
+
+    def test_range_check_is_linear(self):
+        start = time.perf_counter()
+        g = Graph.from_edges(100_000, [(0, 1)])
+        assert time.perf_counter() - start < 0.5
+        assert g.num_edges() == 1
 
 
 class TestConnectivity:
