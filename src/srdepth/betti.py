@@ -26,8 +26,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .complexes import (SimplicialComplex, clique_complex, complex_from_squarefree_ideal, guard_face_enumeration,
-                        stanley_reisner_ideal)
+from .complexes import (NONFACE_SCAN_LIMIT, SimplicialComplex, clique_complex, complex_from_squarefree_ideal,
+                        guard_face_enumeration, stanley_reisner_ideal)
 from .graphs import Graph, GuardError, bits, mask_of
 from .homology import GF2, FaceColumns, FieldSpec, betti_from_sizes, boundary_columns, boundary_rank
 from .monomials import MonomialIdeal, edge_ideal
@@ -297,22 +297,26 @@ def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = Fal
     return n - 1
 
 
-def guard_monomial_quotient(n: int, gens: Sequence[Mapping[int, int]], allow_large: bool) -> None:
-    """Raise depth_monomial_quotient's errors for an n-variable ideal of {variable: exponent} generators.
+def guard_parsed_ideal(n: int, gens: Sequence[Mapping[int, int]], allow_large: bool) -> None:
+    """Raise depth_monomial_quotient's error for an ideal in over NONFACE_SCAN_LIMIT variables.
 
-    In its order: the unit ideal, then, unless the ideal is zero, the
-    polarized-size guard on the sum of max(rho_j, 1) and the face-enumeration
-    limit.  Nothing of length n is built, so a parser can run it first.
+    gens are the parsed {variable: exponent} generators.  In such a ring only
+    the zero ideal gets a depth, so a parser can call this before it builds
+    exponent tuples of length n.  Below the limit it does nothing and leaves
+    the checks to depth_monomial_quotient.  rho_j is taken over the generators
+    that no other one strictly divides, the minimal ones, as there.
     """
-    if any(not any(e.values()) for e in gens):
-        raise ValueError("the unit ideal quotient is zero; depth undefined")
-    if not gens:
+    if n <= NONFACE_SCAN_LIMIT or not gens:
         return
+    gens = [{j: x for j, x in e.items() if x} for e in gens]
+    if not all(gens):
+        raise ValueError("the unit ideal quotient is zero; depth undefined")
     rho: dict[int, int] = {}
-    for e in gens:
-        for j, x in e.items():
-            if x > rho.get(j, 1):
-                rho[j] = x
+    for g in gens:
+        if any(h != g and all(g.get(j, 0) >= x for j, x in h.items()) for h in gens):
+            continue
+        for j, x in g.items():
+            rho[j] = max(rho.get(j, 1), x)
     guard_polarized_scan(n + sum(x - 1 for x in rho.values()), allow_large)
     guard_face_enumeration(n)
 
@@ -324,8 +328,11 @@ def depth_monomial_quotient(ideal: MonomialIdeal, field: FieldSpec = GF2, *,
     The guard counts the variables of the polarization of I, the sum of
     max(rho_j, 1); this also bounds the number of degrees a scanned by 2^16.
     """
-    guard_monomial_quotient(ideal.num_vars, [dict(enumerate(g)) for g in ideal.gens], allow_large)
+    if ideal.is_unit():
+        raise ValueError("the unit ideal quotient is zero; depth undefined")
     if ideal.is_zero():
         return DepthResult(ideal.num_vars, 0, ((-1,) * ideal.num_vars, -1))
+    guard_polarized_scan(sum(max(e, 1) for e in ideal.max_exponents()), allow_large)
+    guard_face_enumeration(ideal.num_vars)  # before the radical's length-n tuples
     radical = MonomialIdeal.from_squarefree_masks(ideal.num_vars, ideal.support_masks())
     return _takayama_depth(complex_from_squarefree_ideal(radical), ideal, field)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from . import graphs as gr
 from . import monomials as mono
 from . import verify as ver
-from .betti import (depth_monomial_quotient, graph_betti_table, graph_depth, guard_monomial_quotient,
+from .betti import (depth_monomial_quotient, graph_betti_table, graph_depth, guard_parsed_ideal,
                     guard_subset_scan, kappa_via_betti)
 from .complexes import guard_clique_complex
 from .graphs import Graph
@@ -223,7 +223,7 @@ def cmd_search_depth2(args: argparse.Namespace) -> int:
 def cmd_ideal_depth(args: argparse.Namespace) -> int:
     text = Path(args.ideal).read_text()
     ideal = mono.parse_ideal(text, args.nvars,
-                             lambda n, gens: guard_monomial_quotient(n, gens, args.allow_large))
+                             lambda n, gens: guard_parsed_ideal(n, gens, args.allow_large))
     r = depth_monomial_quotient(ideal, field_of(args), allow_large=args.allow_large)
     if args.format == "json":
         print(json.dumps({"num_vars": ideal.num_vars, "depth": r.depth,

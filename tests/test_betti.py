@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,11 @@ from srdepth.betti import (
     graded_betti_table,
     graph_betti_table,
     graph_depth,
+    guard_parsed_ideal,
     kappa_via_betti,
 )
 from srdepth.complexes import (
+    NONFACE_SCAN_LIMIT,
     SimplicialComplex,
     clique_complex,
     complex_from_squarefree_ideal,
@@ -395,6 +398,41 @@ class TestMonomialQuotientDepth:
         gens = [tuple(9 if i == j else 0 for i in range(2)) for j in range(2)]
         with pytest.raises(GuardError, match="polarized"):
             depth_monomial_quotient(minimalize(gens, 2))
+
+    @pytest.mark.parametrize("allow_large", [False, True])
+    def test_parsed_guard_raises_as_the_full_guard(self, allow_large):
+        # over the face-enumeration limit, the guard on parsed generators raises
+        # what depth_monomial_quotient raises on the minimalized ideal, so a
+        # redundant generator of high exponent does not count toward rho
+        def error_of(call):
+            try:
+                call()
+            except ValueError as e:
+                return type(e), str(e)
+            return None
+
+        rng = random.Random(12)
+        for _ in range(80):
+            n = rng.randint(NONFACE_SCAN_LIMIT + 1, NONFACE_SCAN_LIMIT + 6)
+            gens = [{j: rng.randint(0, 20) for j in rng.sample(range(n), rng.randint(0, 3))}
+                    for _ in range(rng.randint(0, 4))]
+            gens += [{0: 1}] * rng.randint(0, 1)
+            ideal = minimalize([tuple(e.get(i, 0) for i in range(n)) for e in gens], n)
+            expected = error_of(lambda: depth_monomial_quotient(ideal, allow_large=allow_large))
+            assert error_of(lambda: guard_parsed_ideal(n, gens, allow_large)) == expected, gens
+
+    def test_face_guard_before_the_radical(self):
+        # the radical's length-n tuples take seconds at this n
+        n = 300_000
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="face enumeration limited"):
+            depth_monomial_quotient(MonomialIdeal(n, ((0,) * (n - 1) + (1,),)), allow_large=True)
+        assert time.perf_counter() - start < 1.0
+
+    def test_parsed_guard_leaves_small_rings(self):
+        # x1 divides x1^17: the minimal ideal (x1) polarizes to one variable
+        guard_parsed_ideal(1, [{0: 1}, {0: 17}], False)
+        guard_parsed_ideal(NONFACE_SCAN_LIMIT, [{}], False)
 
     def test_polarized_generators_are_minimal_nonfaces(self, small_corpus):
         # the polarization oracle reads Betti numbers off this complex, whose

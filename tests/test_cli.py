@@ -448,6 +448,9 @@ class TestIdealDepthCommand:
         ("x3000000\n", ("--allow-large",), "face enumeration limited to n <= 20"),
         ("1\nx3000000^2\n", (), "the unit ideal quotient is zero; depth undefined"),
         ("x1\n", ("--nvars", "3000000", "--allow-large"), "face enumeration limited to n <= 20"),
+        ("x1^0\nx3000000\n", (), "the unit ideal quotient is zero; depth undefined"),
+        # x1 divides x1^17*x30, so rho_1 = 1 in the minimal ideal
+        ("x1\nx1^17*x30\n", (), "polarized ring has 30 variables, over the 16 limit; override to force"),
     ])
     def test_huge_variable_index_refused_before_build(self, capsys, tmp_path, text, flags, message):
         # the guards run on the parsed generators, before any exponent tuple
@@ -458,6 +461,13 @@ class TestIdealDepthCommand:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
         assert elapsed < 1.0
+
+    def test_redundant_generator_not_counted(self, capsys, tmp_path):
+        # the polarized-size guard counts the minimal ideal (x1), not x1^17
+        f = tmp_path / "ideal.txt"
+        f.write_text("x1\nx1^17\n")
+        code, out, err = run(capsys, "ideal-depth", "--ideal", str(f))
+        assert (code, out, err) == (0, "ring has 1 variables\ndepth = 0\nprojective dimension = 1\n", "")
 
     def test_zero_ideal_skips_the_size_guards(self, capsys, tmp_path):
         f = tmp_path / "ideal.txt"

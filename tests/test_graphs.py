@@ -151,9 +151,10 @@ class TestBasicOps:
             Graph(3, adj)
 
     def test_range_check_is_linear(self):
+        # a check quadratic in n takes seconds here; the linear one ~0.02 s
         start = time.perf_counter()
-        g = Graph.from_edges(100_000, [(0, 1)])
-        assert time.perf_counter() - start < 0.5
+        g = Graph.from_edges(200_000, [(0, 1)])
+        assert time.perf_counter() - start < 1.0
         assert g.num_edges() == 1
 
 
