@@ -1,9 +1,9 @@
 """Exact invariants of clique complexes and edge ideals: graded Betti
 tables, depth, vertex connectivity, second powers, and a verification CLI.
 
-The package holds what the ``sr-depth`` CLI runs, plus the Stanley-Reisner
-and polarization routes that the benchmark's tracer names; oracles that only
-the tests use live in ``tests/helpers.py``.
+The package holds what the ``sr-depth`` CLI runs, plus the Stanley-Reisner,
+polarization and second-power generator routes that the benchmark's tracer
+names; oracles that only the tests use live in ``tests/helpers.py``.
 """
 
 from .graphs import (
@@ -31,6 +31,7 @@ from .betti import (
     graded_betti_table,
     graph_depth,
     kappa_via_betti,
+    second_power_depths,
 )
 from .monomials import (
     MonomialIdeal,

@@ -10,6 +10,14 @@ Both scans skip complexes that are cones, as when some vertex lies in no
 enclosed minimal non-face, and a complex whose minimal non-faces all have at
 least q vertices has vanishing reduced homology below degree q - 2.
 
+The depths of S/I^(2) and S/I^2 for I = I(G^c) are read off Delta = Delta(G)
+itself, with no ideal built (Minh-Trung, "Cohen-Macaulayness of monomial
+ideals and symbolic powers of Stanley-Reisner ideals", Adv. Math. 226, 2011,
+section 1).  For a with a_j >= 0 off G_a, Delta_a(I^(2)) is generated by
+F - G_a for the facets F of Delta containing G_a with sum_{j not in F} a_j
+<= 1, and Delta_a(I^2) = {H in lk G_a : x^a not in I^2 S[x_T^-1]},
+T = H + G_a.
+
 The Hochster scan walks the vertex subsets depth first, each W's children
 being W + {v} for v above W's top vertex.  Delta|_{W+v} adds to Delta|_W just
 the faces whose top vertex is v, and W + v adds to W just the minimal
@@ -34,6 +42,7 @@ from .monomials import MonomialIdeal, edge_ideal
 
 SUBSET_SCAN_LIMIT = 14
 POLARIZED_SCAN_LIMIT = 16
+POWERS_SCAN_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -271,6 +280,156 @@ def graph_depth(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) 
     """Depth of S/I(G^c): the clique complex's minimal non-faces are the non-edges."""
     guard_subset_scan(g.n, allow_large)
     return _takayama_depth(clique_complex(g), edge_ideal(g.complement()), field)
+
+
+def guard_second_powers(n: int, m: int, allow_large: bool) -> None:
+    """Raise GuardError before the second-power scan of an n-vertex graph with m non-universal vertices."""
+    if m > POWERS_SCAN_LIMIT and not allow_large:
+        raise GuardError(f"second-power scan limited to {POWERS_SCAN_LIMIT} non-universal vertices, "
+                         f"got {m}; override to force")
+    guard_face_enumeration(n)
+
+
+def _degree_complex_depth(faces: FaceColumns, complexes) -> int:
+    """Least |G_a| + 1 + ell with H_ell(Delta_a) != 0, G_a over the faces of a complex by size.
+
+    complexes(ga, kmax) yields the faces of each Delta_a to scan with
+    negative part ga, as a set that may leave out faces of size over kmax.
+    Only degrees ell <= kmax - 2 can beat the best depth, so only faces of
+    size <= kmax count, and those degrees vanish if some vertex v joins every
+    counted face with fewer than kmax vertices: the counted faces then hold
+    the cone over v up to that size.  Depth is at most the largest face
+    size, the dimension of S/I, and at least |G_a|, so the scan stops once
+    |G_a| reaches the best depth found.
+    """
+    best = len(faces.by_size)
+    for size, group in enumerate(faces.by_size):
+        if size >= best:
+            break
+        for ga in group:
+            for selected in complexes(ga, best - size):
+                kmax = best - size  # best may have fallen since complexes(ga) started
+                grouped: list[list[int]] = [[] for _ in range(kmax + 1)]
+                for f in selected:
+                    if f.bit_count() <= kmax:
+                        grouped[f.bit_count()].append(f)
+                while not grouped[-1]:
+                    grouped.pop()  # the empty face is always selected
+                lower = [f for fs in grouped[:kmax] for f in fs]
+                vertices = grouped[1] if len(grouped) > 1 else []
+                if any(all(f | v in selected for f in lower) for v in vertices):
+                    continue
+                columns = [[faces.columns(k)[f] for f in fs] for k, fs in enumerate(grouped)]
+                dims = betti_from_sizes(columns, faces.field, -1, kmax - 2)
+                if dims:
+                    best = size + 1 + min(dims)
+    return best
+
+
+def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> tuple[int, int]:
+    """Depths of S/I^(2) and S/I^2 for I = I(G^c), from degree complexes on Delta = Delta(G).
+
+    A vertex of G^c with no edge is universal in G; its variable is in no
+    generator and adds 1 to both depths, so the scan runs on the other m
+    vertices, where every rho_j is 2 and a_j is 0 or 1 off G_a.  With
+    A = supp(a) (Minh-Trung, Adv. Math. 226, 2011, section 1):
+
+    - Delta_a(I^(2)) is generated by F - G_a for the maximal cliques F
+      containing G_a with |A - F| <= 1; only supports A inside some F plus
+      one vertex select any F, and a family of F with a common vertex off
+      G_a generates a cone.
+    - Delta_a(I^2) holds H in lk G_a iff x^a is not in I^2 S[x_T^-1],
+      T = H + G_a.  There I = (x_j : j in N) + I(G^c - T - N), N the
+      neighbours of T in G^c, so with B = A & N and C = A - T - N, x^a is in
+      it iff |B| >= 2, or B is not empty and C spans an edge of G^c, or
+      G^c[C] has two disjoint edges.
+    """
+    gc = g.complement()
+    support = mask_of(v for v in range(g.n) if gc.adj[v])
+    m = support.bit_count()
+    if not m:
+        return g.n, g.n  # I = 0
+    guard_second_powers(g.n, m, allow_large)
+    index = {v: i for i, v in enumerate(bits(support))}
+    h = Graph.from_edges(m, [(index[u], index[v]) for u, v in g.edges() if support >> u & support >> v & 1])
+    hc = h.complement().adj
+    full = h.full_mask
+    c = clique_complex(h)
+    by_size = c.faces_by_size()
+    faces = FaceColumns(by_size, field)
+    nbr = {0: 0}  # a clique's neighbours in G^c, none of them inside it
+    for group in by_size[1:]:
+        for f in group:
+            low = f & -f
+            nbr[f] = nbr[f ^ low] | hc[low.bit_length() - 1]
+    facets = [f for f in c.faces if f and not full & ~nbr[f] & ~f]
+    # edge[s], matched[s]: G^c restricted to s has an edge, two disjoint edges
+    edge, matched = bytearray(1 << m), bytearray(1 << m)
+    for s in range(1, 1 << m):
+        low = s & -s
+        r, nb = s ^ low, hc[low.bit_length() - 1] & s
+        edge[s] = edge[r] or nb != 0
+        matched[s] = matched[r] or any(edge[r & ~(1 << u)] for u in bits(nb))
+
+    def subsets(mask: int):
+        sub = mask
+        while True:
+            yield sub
+            if not sub:
+                return
+            sub = sub - 1 & mask
+
+    def symbolic(ga: int, kmax: int):
+        star = [f for f in facets if f & ga == ga]
+        supports = set()  # the subsets of each F - G_a, plus at most one vertex off F
+        for f in star:
+            extras = [0, *(1 << v for v in bits(full & ~f))]
+            supports.update(sub | e for sub in subsets(f ^ ga) for e in extras)
+        seen = set()
+        for a in sorted(supports, key=int.bit_count):
+            family = tuple(f ^ ga for f in star if (a & ~f).bit_count() <= 1)
+            if family in seen:
+                continue
+            seen.add(family)
+            common = full
+            for s in family:
+                common &= s
+            if common:
+                continue  # a cone
+            yield {sub for s in family for sub in subsets(s)}
+
+    def square(ga: int, kmax: int):
+        # the neighbours of G_a in G^c lie in N for every T, so A holds at
+        # most one of them (else |B| >= 2 for every T), and which one does
+        # not matter; the link's vertices are the others off G_a, and its
+        # faces the cliques among them.  A larger A keeps fewer faces, so the
+        # supports are walked depth first, each adding one vertex to a
+        # smaller one and testing only the faces that one kept.
+        near = nbr[ga]
+        lk = full & ~ga & ~near
+        link = [(f, nbr[f | ga]) for group in by_size[: kmax + 1] for f in group if f & ~lk == 0]
+        verts = [*bits(lk), *bits(near & -near)]
+        seen = set()
+        stack = [(0, 0, link)]
+        while stack:
+            a, first, kept = stack.pop()
+            key = frozenset(f for f, _ in kept)
+            if key not in seen:
+                seen.add(key)
+                yield key
+            for i in range(first, len(verts)):
+                grown = a | 1 << verts[i]
+                child = []
+                for f, nb in kept:
+                    x = grown & ~f  # A - T
+                    b = x & nb
+                    if not (b & (b - 1) or (edge[x ^ b] if b else matched[x])):
+                        child.append((f, nb))
+                if child:  # else Delta_a is void, and so is every larger support's
+                    stack.append((grown, i + 1, child))
+
+    free = g.n - m
+    return free + _degree_complex_depth(faces, symbolic), free + _degree_complex_depth(faces, square)
 
 
 def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> int:

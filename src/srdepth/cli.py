@@ -18,7 +18,7 @@ from . import graphs as gr
 from . import monomials as mono
 from . import verify as ver
 from .betti import (depth_monomial_quotient, graph_betti_table, graph_depth, guard_parsed_ideal,
-                    guard_subset_scan, kappa_via_betti)
+                    guard_subset_scan, kappa_via_betti, second_power_depths)
 from .complexes import guard_clique_complex
 from .graphs import Graph
 from .homology import FieldSpec
@@ -164,10 +164,8 @@ def cmd_kappa(args: argparse.Namespace) -> int:
 def cmd_powers(args: argparse.Namespace) -> int:
     g = load_graph(args)
     field = field_of(args)
-    symb, square = ver.second_powers(g, allow_large=args.allow_large)
+    d2, d3 = second_power_depths(g, field, allow_large=args.allow_large)
     d1 = graph_depth(g, field, allow_large=args.allow_large).depth
-    d2 = depth_monomial_quotient(symb, field, allow_large=args.allow_large).depth
-    d3 = depth_monomial_quotient(square, field, allow_large=args.allow_large).depth
     if args.format == "json":
         print(json.dumps({"depth": d1, "depth_symbolic_square": d2, "depth_square": d3}, indent=2))
     else:

@@ -1,6 +1,10 @@
 """Exact monomial-ideal arithmetic: minimal generators, products, the
 symbolic square of an edge ideal, polarization.
 
+The CLI reads the second-power depths off the clique complex
+(``betti.second_power_depths``); ``power`` and ``symbolic_power`` build the
+ideals themselves, for the tests' generator route and the benchmark's tracer.
+
 A monomial is an exponent tuple of length ``num_vars``.  An ideal is kept
 as its unique minimal (divisibility-antichain) generating set, sorted.
 """

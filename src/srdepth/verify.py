@@ -11,15 +11,13 @@ from dataclasses import asdict, dataclass, field as dc_field
 from typing import Optional
 
 from . import graphs as gr
-from . import monomials as mono
-from .betti import GuardError, depth_monomial_quotient, graph_betti_table, graph_depth
-from .betti import guard_polarized_scan, guard_subset_scan, kappa_via_betti
-from .complexes import guard_face_enumeration
+from .betti import GuardError, graph_betti_table, graph_depth, guard_subset_scan, kappa_via_betti
+from .betti import second_power_depths
 from .graphs import Graph
 from .homology import GF2, FieldSpec
 
 FUZZ_N_LIMIT_ALL = 10
-FUZZ_N_LIMIT_POWERS = 7
+FUZZ_N_LIMIT_POWERS = 10
 FUZZ_N_LIMIT_CHORDAL = 12
 SEARCH_N_LIMIT = 10
 
@@ -136,31 +134,11 @@ class VerificationReport:
 CSV_HEADER = "n,edges,kappa,chordal,depth,depth_symbolic,depth_square,field,all_pass"
 
 
-def second_powers(g: Graph, *,
-                  allow_large: bool = False) -> tuple[mono.MonomialIdeal, mono.MonomialIdeal]:
-    """The symbolic square and the square of the edge ideal of the complement.
-
-    The depth guards of both are raised before either is built: each has a
-    generator (x_i x_j)^2 for every edge of G^c and no exponent above 2, so
-    both polarize to n plus the non-isolated vertices of G^c; the depth
-    engine then enumerates faces on the n variables.
-    """
-    gc = g.complement()
-    if gc.num_edges():
-        guard_polarized_scan(g.n + sum(1 for row in gc.adj if row), allow_large)
-        guard_face_enumeration(g.n)
-    square = mono.power(mono.edge_ideal(gc), 2)
-    return mono.symbolic_power(gc, square), square
-
-
-def _power_check(name: str, ideal: mono.MonomialIdeal, lower: Optional[int], field: FieldSpec,
-                 allow_large: bool) -> tuple[int, Check]:
-    """Depth of a second power and its lower-bound check (lower is None for
-    a complete graph)."""
-    depth = depth_monomial_quotient(ideal, field, allow_large=allow_large).depth
+def _power_check(name: str, depth: int, lower: Optional[int]) -> Check:
+    """Lower-bound check of a second power's depth (lower is None for a complete graph)."""
     if lower is None:
-        return depth, Check(name, "skipped", "complete graph")
-    return depth, Check(name, "pass" if depth >= lower else "fail", f"depth={depth} lower={lower}")
+        return Check(name, "skipped", "complete graph")
+    return Check(name, "pass" if depth >= lower else "fail", f"depth={depth} lower={lower}")
 
 
 def verify_graph(g: Graph, field: FieldSpec = GF2, include_powers: bool = False, *,
@@ -240,20 +218,16 @@ def verify_graph(g: Graph, field: FieldSpec = GF2, include_powers: bool = False,
     if include_powers:
         t0 = time.perf_counter()
         try:
-            symb, square = second_powers(g, allow_large=allow_large)
+            depth_symbolic, depth_square = second_power_depths(g, field, allow_large=allow_large)
         except GuardError as exc:
             skip = f"skipped: size ({exc})"
             checks.append(Check("symbolic_square_lower_bound", "skipped", skip))
             checks.append(Check("square_lower_bound", "skipped", skip))
         else:
-            depth_symbolic, check = _power_check("symbolic_square_lower_bound", symb,
-                                                 None if complete else bset.lower_symbolic,
-                                                 field, allow_large)
-            checks.append(check)
-            depth_square, check = _power_check("square_lower_bound", square,
-                                               None if complete else bset.lower_square,
-                                               field, allow_large)
-            checks.append(check)
+            checks.append(_power_check("symbolic_square_lower_bound", depth_symbolic,
+                                       None if complete else bset.lower_symbolic))
+            checks.append(_power_check("square_lower_bound", depth_square,
+                                       None if complete else bset.lower_square))
         timings["powers"] = time.perf_counter() - t0
 
     return VerificationReport(

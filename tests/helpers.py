@@ -3,9 +3,10 @@
 The CLI never calls these: downward closure, restriction, links and cones of
 complexes, reduced Betti numbers of a whole complex, ideal membership,
 intersections, colon ideals and the colon structure of (I^2 : x_i x_j), the
-symbolic square through minimal vertex covers, the ideal text printer,
-induced subgraphs, and the kappa > (2n-2)/3 arithmetic lemma.  Unlike the
-sympy oracle in ``conftest.py``, they reuse package code.
+symbolic square through minimal vertex covers, the generators of the second
+powers of an edge ideal (the oracle of the degree-complex depths), the ideal
+text printer, induced subgraphs, and the kappa > (2n-2)/3 arithmetic lemma.
+Unlike the sympy oracle in ``conftest.py``, they reuse package code.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from srdepth.complexes import SimplicialComplex
+from srdepth.betti import guard_polarized_scan
+from srdepth.complexes import SimplicialComplex, guard_face_enumeration
 from srdepth.graphs import Graph, bits, mask_of
 from srdepth.homology import GF2, FaceColumns, FieldSpec, betti_from_sizes
-from srdepth.monomials import Monomial, MonomialIdeal, divides, edge_ideal, minimalize, monomial_from_mask, mul
+from srdepth.monomials import (Monomial, MonomialIdeal, divides, edge_ideal, minimalize, monomial_from_mask,
+                               mul, power, symbolic_power)
 
 
 def from_faces(n: int, faces: Iterable[int]) -> SimplicialComplex:
@@ -125,6 +128,23 @@ def symbolic_square_by_covers(g: Graph) -> MonomialIdeal:
     for c in minimal_vertex_covers(g):
         out = intersection(out, variable_power_ideal(g.n, c, 2))
     return out
+
+
+def second_powers(g: Graph, *, allow_large: bool = False) -> tuple[MonomialIdeal, MonomialIdeal]:
+    """The symbolic square and the square of the edge ideal of the complement.
+
+    The generator route to their depths, through ``depth_monomial_quotient``.
+    Its guards are raised before either ideal is built: each has a generator
+    (x_i x_j)^2 for every edge of G^c and no exponent above 2, so both
+    polarize to n plus the non-isolated vertices of G^c; the depth engine
+    then enumerates faces on the n variables.
+    """
+    gc = g.complement()
+    if gc.num_edges():
+        guard_polarized_scan(g.n + sum(1 for row in gc.adj if row), allow_large)
+        guard_face_enumeration(g.n)
+    square = power(edge_ideal(gc), 2)
+    return symbolic_power(gc, square), square
 
 
 def quotient(a: Monomial, b: Monomial) -> Monomial:

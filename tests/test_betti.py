@@ -21,6 +21,7 @@ from srdepth.betti import (
     graph_depth,
     guard_parsed_ideal,
     kappa_via_betti,
+    second_power_depths,
 )
 from srdepth.complexes import (
     NONFACE_SCAN_LIMIT,
@@ -32,10 +33,10 @@ from srdepth.complexes import (
 from srdepth.graphs import Graph, GuardError, is_chordal, mask_of, vertex_connectivity
 from srdepth.homology import GF2, GF3, RATIONAL, FieldSpec
 from srdepth.monomials import MonomialIdeal, edge_ideal, minimalize, parse_ideal, polarize
-from srdepth.verify import construct_example, random_chordal_graph, second_powers
+from srdepth.verify import construct_example, random_chordal_graph
 
 from conftest import graph_corpus, masks_to_tuples, oracle_betti_table, oracle_hochster_table, random_graph
-from helpers import from_faces, link, reduced_betti
+from helpers import from_faces, link, reduced_betti, second_powers
 
 C4 = construct_example("cycle", t=4)
 C6 = construct_example("cycle", t=6)
@@ -341,6 +342,72 @@ class TestDepthRoutes:
         for field in (GF2, GF3, RATIONAL):
             pd = graded_betti_table(pol, field).projective_dimension()
             assert depth_monomial_quotient(square, field).depth == g.n - pd
+
+
+def join_universal(g: Graph, u: int) -> Graph:
+    """g plus u vertices adjacent to every other vertex."""
+    n = g.n + u
+    return Graph.from_edges(n, [*g.edges(), *((v, w) for w in range(g.n, n) for v in range(w))])
+
+
+def generator_route(g: Graph, field: FieldSpec = GF2) -> tuple[int, int]:
+    """Depths of S/I^(2) and S/I^2 from the built ideals, through depth_monomial_quotient."""
+    symb, square = second_powers(g, allow_large=True)
+    return (depth_monomial_quotient(symb, field, allow_large=True).depth,
+            depth_monomial_quotient(square, field, allow_large=True).depth)
+
+
+class TestSecondPowerDepths:
+    FIELDS = (RATIONAL, GF2, GF3, FieldSpec(5))
+
+    def test_matches_generator_route(self):
+        for g in graph_corpus(seed=131, count=36, n_max=8, n_min=3):
+            for field in self.FIELDS:
+                assert second_power_depths(g, field) == generator_route(g, field), (g.edges(), field)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(small_graphs(), st.sampled_from([0, 2, 3, 5]))
+    def test_property_matches_generator_route(self, g, p):
+        field = FieldSpec(p)
+        assert second_power_depths(g, field) == generator_route(g, field)
+
+    def test_complete_graph(self):
+        # I = 0, so both quotients are S
+        for n in range(1, 8):
+            assert second_power_depths(construct_example("complete", t=n)) == (n, n)
+
+    def test_complement_of_perfect_matching(self):
+        # I is generated by k disjoint edges, a complete intersection, and
+        # G^c has no triangle: S/I^(2) = S/I^2 is Cohen-Macaulay of dimension k
+        for k in range(1, 5):
+            g = Graph.from_edges(2 * k, [(i, j) for i in range(2 * k) for j in range(i + 1, 2 * k)
+                                         if not (i % 2 == 0 and j == i + 1)])
+            for field in self.FIELDS:
+                assert second_power_depths(g, field) == (k, k)
+                if k <= 3:  # the generator route takes seconds from k = 4
+                    assert generator_route(g, field) == (k, k)
+
+    def test_universal_vertices_are_forced(self):
+        # a universal vertex of G is isolated in G^c: its variable is in no
+        # generator, so a_j < 0 for every degree, and it adds 1 to each depth
+        for g in (C6, FIG1, construct_example("path", t=5), construct_example("bipartite", a=2, b=3)):
+            depths = second_power_depths(g)
+            for u in (1, 2):
+                joined = join_universal(g, u)
+                assert second_power_depths(joined) == (depths[0] + u, depths[1] + u) == generator_route(joined)
+
+    def test_guard_counts_non_universal_vertices(self):
+        c11 = construct_example("cycle", t=11)
+        with pytest.raises(GuardError, match="^second-power scan limited to 10 non-universal vertices, "
+                                             "got 11; override to force$"):
+            second_power_depths(c11)
+        assert second_power_depths(c11, allow_large=True) == (1, 0)
+        # 12 universal vertices of 14; the polarized-size guard allowed this too
+        assert second_power_depths(join_universal(Graph.from_edges(2, []), 12)) == (13, 13)
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="face enumeration limited to n <= 20"):
+            second_power_depths(construct_example("cycle", t=21), allow_large=True)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestKappaViaBetti:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +166,21 @@ class TestGuardsBeforeBuild:
         assert err == "error: subset scan limited to n <= 14; override to force\n"
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("argv", [["powers"], ["verify", "--powers"]])
+    def test_second_power_guard(self, capsys, tmp_path, argv):
+        # 14 vertices pass the subset guard; all 14 have an edge in G^c
+        f = tmp_path / "edges.txt"
+        f.write_text("14\n1 2\n")
+        (code, out, err), elapsed = run_timed(capsys, *argv, "--input", str(f), "--format", "json")
+        message = "second-power scan limited to 10 non-universal vertices, got 14; override to force"
+        if argv == ["powers"]:
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+        else:
+            checks = {c["name"]: c for c in json.loads(out)["checks"]}
+            assert checks["square_lower_bound"] == {"name": "square_lower_bound", "status": "skipped",
+                                                    "detail": f"skipped: size ({message})"}
+        assert elapsed < 1.0
+
     @pytest.mark.parametrize("verb", ["depth", "betti", "kappa", "powers", "verify"])
     def test_clique_complex_guard_under_override(self, capsys, verb):
         (code, out, err), elapsed = run_timed(capsys, verb, "--name", "k3000", "--allow-large")
@@ -283,17 +299,29 @@ class TestPowersCommand:
                                    ("depth", "depth_symbolic_square", "depth_square")}
 
     def test_guard_matches_verify_skip(self, capsys):
-        code, _, err = run(capsys, "powers", "--name", "c9")
-        assert code == 2 and "polarized ring has 18 variables" in err
-        code, out, _ = run(capsys, "verify", "--name", "c9", "--powers", "--format", "json")
+        code, _, err = run(capsys, "powers", "--name", "c11")
+        assert code == 2 and "second-power scan limited to 10 non-universal vertices, got 11" in err
+        code, out, _ = run(capsys, "verify", "--name", "c11", "--powers", "--format", "json")
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         for name in ("symbolic_square_lower_bound", "square_lower_bound"):
             assert checks[name]["status"] == "skipped"
-            assert "polarized ring has 18 variables" in checks[name]["detail"]
+            assert "second-power scan limited to 10 non-universal vertices, got 11" in checks[name]["detail"]
 
+    def test_guard_counts_non_universal_vertices(self, capsys, tmp_path):
+        # the scan runs on the vertices with an edge in G^c: c10 has 10, and
+        # K13 minus one edge has 2, which the polarized-size guard also allowed
+        code, out, _ = run(capsys, "powers", "--name", "c10", "--format", "json")
+        assert code == 0 and json.loads(out) == {"depth": 2, "depth_symbolic_square": 1, "depth_square": 0}
+        f = tmp_path / "k13-e.txt"
+        pairs = [(u, v) for u in range(1, 14) for v in range(u + 1, 14) if (u, v) != (1, 2)]
+        f.write_text("13\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+        code, out, _ = run(capsys, "powers", "--input", str(f), "--format", "json")
+        assert code == 0 and json.loads(out) == {"depth": 12, "depth_symbolic_square": 12, "depth_square": 12}
+        code, out, _ = run(capsys, "powers", "--name", "c11", "--allow-large", "--format", "json")
+        assert code == 0 and json.loads(out) == {"depth": 2, "depth_symbolic_square": 1, "depth_square": 0}
 
     @pytest.mark.parametrize("name, message", [
-        ("c14", "polarized ring has 28 variables, over the 16 limit"),
+        ("c14", "second-power scan limited to 10 non-universal vertices, got 14; override to force"),
         ("c16", "subset scan limited to n <= 14"),
         ("p20", "subset scan limited to n <= 14"),
     ])
@@ -307,6 +335,30 @@ class TestPowersCommand:
         (code, out, err), elapsed = run_timed(capsys, "powers", "--name", "c24", "--allow-large")
         assert code == 2 and out == "" and "face enumeration limited to n <= 20" in err
         assert elapsed < 1.0
+
+
+GOLDEN_POWERS = json.loads((Path(__file__).parent / "golden_powers.json").read_text())
+
+
+class TestPowersGoldens:
+    """powers and verify --powers print, byte for byte, what the generator route printed."""
+
+    @pytest.fixture(scope="class")
+    def graph_files(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("golden")
+        for name, text in GOLDEN_POWERS["files"].items():
+            (directory / f"{name}.txt").write_text(text)
+        return directory
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_POWERS["cases"]))
+    def test_json_output(self, capsys, graph_files, case):
+        verb, graph, field = case.split()
+        source = (["--input", str(graph_files / f"{graph}.txt")] if graph in GOLDEN_POWERS["files"]
+                  else ["--name", graph])
+        flags = ["--powers"] if verb == "verify" else []
+        expected = GOLDEN_POWERS["cases"][case]
+        assert run(capsys, verb, *flags, *source, "--format", "json", "--field", field) == \
+            (expected["exit"], json.dumps(expected["output"], indent=2) + "\n", "")
 
 
 class TestVerifyCommand:

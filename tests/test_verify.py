@@ -16,12 +16,11 @@ from srdepth.verify import (
     construct_example,
     fuzz_campaign,
     search_depth2,
-    second_powers,
     verify_graph,
 )
 
 from conftest import graph_corpus
-from helpers import is_subideal_of, lemma_arithmetic
+from helpers import is_subideal_of, lemma_arithmetic, second_powers
 
 
 class TestBounds:
@@ -177,6 +176,15 @@ class TestFuzz:
         reports = fuzz_campaign(n_max=6, count=8, seed=2, profile="powers")
         assert all(r.depth_square is not None or
                    any(c.status == "skipped" for c in r.checks) for r in reports)
+
+    def test_powers_profile_reaches_the_scan_limit(self):
+        # the profile's limit is the second-power scan's, so no power check skips
+        reports = fuzz_campaign(n_max=10, count=6, seed=0, profile="powers")
+        assert max(r.n for r in reports) > 8
+        assert all(c.status != "skipped" or c.detail == "complete graph" for r in reports for c in r.checks
+                   if c.name.endswith("square_lower_bound"))
+        with pytest.raises(GuardError, match="profile powers limited to n <= 10"):
+            fuzz_campaign(n_max=11, count=1, seed=0, profile="powers")
 
     def test_chordal_profile(self):
         for r in fuzz_campaign(n_max=9, count=20, seed=3, profile="chordal"):
