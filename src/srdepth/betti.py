@@ -22,10 +22,13 @@ The Hochster scan walks the vertex subsets depth first, each W's children
 being W + {v} for v above W's top vertex.  Delta|_{W+v} adds to Delta|_W just
 the faces whose top vertex is v, and W + v adds to W just the minimal
 non-faces whose top vertex is v, so a child extends its parent's face counts,
-echelon forms and cover test by those alone.  A child's subtree is walked only
-if each vertex it leaves uncovered lies in a minimal non-face inside W + v
-plus the vertices above v.  The prune is exact: adding those non-faces to
-W + v gives a subset in the subtree that passes.
+1-skeleton components, echelon forms for faces of size >= 3 and cover test by
+those alone.  The edges' boundary map needs no echelon form: over every field
+its rank is the number of vertices less the number of components of the
+1-skeleton (the H_0 that also bounds depth by kappa + 1).  A child's subtree
+is walked only if each vertex it leaves uncovered lies in a minimal non-face
+inside W + v plus the vertices above v.  The prune is exact: adding those
+non-faces to W + v gives a subset in the subtree that passes.
 """
 
 from __future__ import annotations
@@ -146,28 +149,37 @@ def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec
     """Betti table of K[c] by a depth-first walk over vertex subsets; gen_masks are c's minimal non-faces.
 
     The children of w are w | {v} for v above w's top vertex.  A child copies
-    w's face counts, ranks, per-size pivots, cover (the union of the generators
-    inside w) and least generator size, and adds to the copies only the faces
-    and generators inside it whose top vertex is v.  It passes the cover test
-    iff its cover is all of it.  Its subtree is walked only if each vertex it
-    leaves uncovered lies in a generator inside it plus the vertices above v,
-    which is exactly when adding those generators gives a subset that passes.
+    w's face counts, ranks, 1-skeleton components, per-size pivots, cover
+    (the union of the generators inside w) and least generator size, and adds
+    to the copies only the faces and generators inside it whose top vertex is
+    v.  Its edges to w merge the components they touch, and the rank of the
+    edges' boundary map is the number of vertices less the number of
+    components, over every field, so only faces of size >= 3 extend echelon
+    forms.  It passes the cover test iff its cover is all of it.  Its subtree
+    is walked only if each vertex it leaves uncovered lies in a generator
+    inside it plus the vertices above v, which is exactly when adding those
+    generators gives a subset that passes.
     """
     n = c.n
     by_size = c.faces_by_size()
     faces = FaceColumns(by_size, field)
     top = len(by_size)
-    # by_top[v][k - 2]: (face, column) of the size-k faces whose top vertex is v, k >= 2
-    by_top: list[list[list]] = [[[] for _ in range(2, top)] for _ in range(n)]
-    for k in range(2, top):
+    # by_top[v][k - 3]: (face, column) of the size-k faces whose top vertex is v, k >= 3
+    by_top: list[list[list]] = [[[] for _ in range(3, top)] for _ in range(n)]
+    for k in range(3, top):
         for f, col in faces.columns(k).items():
-            by_top[f.bit_length() - 1][k - 2].append((f, col))
+            by_top[f.bit_length() - 1][k - 3].append((f, col))
     vertices = set(by_size[1]) if top > 1 else set()
+    below = [0] * n  # below[v]: the vertices under v that share an edge with it
+    for e in by_size[2] if top > 2 else ():
+        t = e.bit_length() - 1
+        below[t] |= e ^ 1 << t
     gens_by_top = [[(gm, gm.bit_count()) for gm in gen_masks if gm.bit_length() == v + 1] for v in range(n)]
     gens_at = [[gm for gm in gen_masks if gm >> u & 1] for u in range(n)]  # the generators holding u
     entries = {(0, 0): 1}
 
-    def walk(w: int, cover: int, gmin: int, f: list[int], r: list[int], pivots: list[dict]) -> None:
+    def walk(w: int, cover: int, gmin: int, f: list[int], r: list[int], comps: list[int],
+             pivots: list[dict]) -> None:
         for v in range(w.bit_length(), n):
             x = w | 1 << v
             outside = ~x
@@ -181,18 +193,33 @@ def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec
                 missing = (2 << v) - 1 & outside  # outside every subset in x's subtree
                 if any(all(gm & missing for gm in gens_at[u]) for u in bits(x & ~cx)):
                     continue
-            fx, rx, px = f[:], r[:], pivots[:]
+            fx, rx, kx, px = f, r, comps, pivots
             if 1 << v in vertices:
+                fx, rx = f[:], r[:]
                 # every vertex maps onto the empty face, so d_1 has rank 1
                 fx[1] += 1
                 rx[1] = 1
-                for k, group in enumerate(by_top[v], 2):
-                    new = [col for face, col in group if face & outside == 0]
-                    if not new:
-                        break  # a size-(k+1) face with top v contains a size-k one
-                    fx[k] += len(new)
-                    px[k] = dict(pivots[k])
-                    rx[k] += boundary_rank(new, field, px[k])
+                nb = w & below[v]
+                if nb:
+                    merged, kx = 1 << v, []
+                    for comp in comps:
+                        if comp & nb:
+                            merged |= comp
+                        else:
+                            kx.append(comp)
+                    kx.append(merged)
+                    fx[2] += nb.bit_count()
+                    rx[2] = fx[1] - len(kx)
+                    px = pivots[:]
+                    for k, group in enumerate(by_top[v], 3):
+                        new = [col for face, col in group if face & outside == 0]
+                        if not new:
+                            break  # a size-(k+1) face with top v contains a size-k one
+                        fx[k] += len(new)
+                        px[k] = dict(pivots[k])
+                        rx[k] += boundary_rank(new, field, px[k])
+                else:
+                    kx = comps + [1 << v]  # a new component: rank d_2 is unchanged
             if cx == x:
                 j = x.bit_count()
                 for ell in range(gx - 2, min(j, top - 1)):
@@ -200,9 +227,9 @@ def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec
                     if d:
                         key = (j - ell - 1, j)
                         entries[key] = entries.get(key, 0) + d
-            walk(x, cx, gx, fx, rx, px)
+            walk(x, cx, gx, fx, rx, kx, px)
 
-    walk(0, 0, n + 1, [1] + [0] * top, [0] * (top + 1), [{} for _ in range(top)])
+    walk(0, 0, n + 1, [1] + [0] * top, [0] * (top + 1), [], [{} for _ in range(top)])
     return BettiTable(c.n, entries)
 
 
@@ -440,7 +467,10 @@ def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = Fal
     removal of at most n - 2 vertices does.  The 1-skeleton of the clique
     complex is g, and d_1 maps each vertex onto the empty face, so it has
     rank 1: with k = |X|, dim H_0 = (n - k) - 1 - rank d_2, where d_2 is
-    the boundary map of the edges disjoint from X.
+    the boundary map of the edges disjoint from X.  It ranks those edge
+    columns on purpose, where the Hochster walk counts components: verify
+    compares it with flow kappa, and a component count would make it the
+    brute-force separator search over again.
     """
     n = g.n
     if n < 2:

@@ -202,6 +202,8 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
         return ConnectivityResult(0, 0)
     best = None
     for s in range(g.n):
+        if best is not None and s >= best[0]:
+            break  # a minimum separator misses one of 0..kappa, so kappa is attained below s once s >= best[0]
         for t in range(s + 1, g.n):
             if g.has_edge(s, t):
                 continue

@@ -116,6 +116,34 @@ def oracle_complexes() -> list[tuple[SimplicialComplex, dict]]:
     return [(c, oracle_hochster_table(c.n, masks_to_tuples(c.faces))) for c in complexes]
 
 
+@pytest.fixture(scope="module")
+def split_complexes() -> list[tuple[SimplicialComplex, dict]]:
+    """Complexes whose 1-skeleton splits, with their sympy Hochster tables."""
+    # x7 joins x2 to the component of x1 and x6, x8 joins x3 and x5; x4 is isolated
+    several = from_faces(9, [0b100001, 0b1000010, 0b10000100, 0b101100000, 0b1000, 0b10010000])
+    # x1 and x5 are ghost vertices
+    ghosted = from_faces(8, [0b100010, 0b1100, 0b1001000, 0b11000000, 0b10001000, 0b10100000])
+    no_edges = from_faces(6, [0b10, 0b1000, 0b10000])
+    assert 0b1 not in ghosted.faces and 0b10000 not in ghosted.faces and not no_edges.faces_by_size()[2:]
+    complexes = [several, ghosted, no_edges, from_faces(3, [])]
+    rng = random.Random(59)
+    for _ in range(6):
+        n = rng.randint(6, 8)
+        live = rng.sample(range(n), n - rng.randint(1, 2))  # the others are ghost vertices
+        complexes.append(from_faces(n, [mask_of(rng.sample(live, rng.randint(1, 3)))
+                                        for _ in range(rng.randint(2, 4))]))
+    return [(c, oracle_hochster_table(c.n, masks_to_tuples(c.faces))) for c in complexes]
+
+
+def _column_support(col) -> int:
+    """Nonzero rows of a boundary column in any field's form: the size of its face."""
+    if isinstance(col, int):
+        return col.bit_count()
+    if isinstance(col, tuple):
+        return (col[0] | col[1]).bit_count()
+    return len(col)
+
+
 class TestHochsterWalk:
     """The depth-first subset walk against the sympy Hochster sum."""
 
@@ -129,6 +157,30 @@ class TestHochsterWalk:
     def test_non_flag_complexes_match_oracle(self, field, oracle_complexes):
         for c, expected in oracle_complexes:
             assert graded_betti_table(c, field).entries == expected, sorted(c.faces)
+
+    @pytest.mark.parametrize("field", [RATIONAL, GF2, GF3, FieldSpec(5)], ids=["QQ", "GF2", "GF3", "GF5"])
+    def test_split_one_skeletons_match_oracle(self, field, split_complexes):
+        # several components, isolated and ghost vertices, no edges at all:
+        # the walk reads rank d_2 off the components of the 1-skeleton
+        for c, expected in split_complexes:
+            assert graded_betti_table(c, field).entries == expected, sorted(c.faces)
+
+    @pytest.mark.parametrize("field", [RATIONAL, GF2, GF3, FieldSpec(5)], ids=["QQ", "GF2", "GF3", "GF5"])
+    def test_walk_never_ranks_an_edge_column(self, monkeypatch, field, split_complexes):
+        # a column has one nonzero row per vertex of its face, so edge columns have two
+        reduced = []
+
+        def recording_rank(columns, field, pivots=None):
+            reduced.extend(_column_support(col) for col in columns)
+            return homology.boundary_rank(columns, field, pivots)
+
+        monkeypatch.setattr(betti, "boundary_rank", recording_rank)
+        rng = random.Random(67)
+        for g in [random_graph(rng, 9, p) for p in (0.3, 0.5, 0.8)]:
+            graph_betti_table(g, field)
+        for c, _ in split_complexes:
+            graded_betti_table(c, field)
+        assert reduced and min(reduced) == 3
 
     def test_kept_subset_below_a_cone(self):
         # in C4 the parent {0, 1, 2} of the whole vertex set is a cone on 1, yet
@@ -167,7 +219,9 @@ class TestHochsterWalk:
         monkeypatch.setattr(betti, "boundary_rank", recording_rank)
         assert graph_betti_table(g, RATIONAL).entries == expected
         (faces,) = built
-        on_u = {id(col) for k in range(2, len(faces.by_size))
+        # edge columns are never reduced (rank d_2 comes from components), so
+        # only the sizes the walk ranks can show a face on u
+        on_u = {id(col) for k in range(3, len(faces.by_size))
                 for f, col in faces.columns(k).items() if f >> u & 1}
         assert on_u and reduced
         assert not any(id(col) in on_u for col in reduced)

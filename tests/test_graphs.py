@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srdepth import graphs
 from srdepth.graphs import (
     BRUTE_FORCE_LIMIT,
     ConnectivityResult,
@@ -194,6 +195,36 @@ class TestConnectivity:
     def test_flow_equals_bruteforce_on_corpus(self):
         for g in graph_corpus(seed=5, count=80, n_max=10):
             assert vertex_connectivity(g).kappa == vertex_connectivity_bruteforce(g).kappa
+
+    def test_flow_stops_at_evens_bound(self, monkeypatch):
+        # the scan stops once its first vertex reaches the best cut found, yet
+        # kappa and the witness are those of the first minimum pair of all pairs
+        cut = graphs._min_vertex_cut
+        calls = []
+
+        def counting_cut(g, s, t):
+            calls.append((s, t))
+            return cut(g, s, t)
+
+        monkeypatch.setattr(graphs, "_min_vertex_cut", counting_cut)
+        rng = random.Random(61)
+        skipped = 0
+        for _ in range(150):
+            n = rng.randint(3, 11)
+            g = random_graph(rng, n, rng.choice((0.4, 0.6, 0.8, 0.9)))
+            if g.is_complete() or not is_connected(g):
+                continue
+            best = None
+            pairs = [(s, t) for s, t in itertools.combinations(range(n), 2) if not g.has_edge(s, t)]
+            for s, t in pairs:
+                value, witness = cut(g, s, t)
+                if best is None or value < best[0]:
+                    best = (value, witness)
+            calls.clear()
+            assert vertex_connectivity(g) == ConnectivityResult(*best), format_edge_list(g)
+            assert len(calls) <= (best[0] + 1) * (n - 1)
+            skipped += len(pairs) - len(calls)
+        assert skipped
 
     def test_kappa_at_most_min_degree(self, medium_corpus):
         for g in medium_corpus:
