@@ -6,9 +6,13 @@ with H^i_m(S/I) != 0, read off Takayama's formula
 dim H^i_m(S/I)_a = dim H_{i-|G_a|-1}(Delta_a) in the n variables of S, where
 G_a = {j : a_j < 0}; for a squarefree I, Delta_a is the link of G_a.
 
-Both scans skip complexes that are cones, as when some vertex lies in no
-enclosed minimal non-face, and a complex whose minimal non-faces all have at
-least q vertices has vanishing reduced homology below degree q - 2.
+One scan computes every depth: G_a runs over faces by size, a caller yields
+the degree complexes Delta_a for each, and the scan skips a Delta_a whose
+faces, truncated to the degrees that could lower the depth, form a cone
+over one of its vertices.  The Hochster walk has its own cone test on
+covers: a vertex that lies in no minimal non-face inside W makes
+Delta|_W a cone, and a complex whose minimal non-faces all have at least q
+vertices has vanishing reduced homology below degree q - 2.
 
 The depths of S/I^(2) and S/I^2 for I = I(G^c) are read off Delta = Delta(G)
 itself, with no ideal built (Minh-Trung, "Cohen-Macaulayness of monomial
@@ -34,6 +38,7 @@ non-faces to W + v gives a subset in the subtree that passes.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -100,19 +105,6 @@ class DepthResult:
     witness: tuple[tuple[int, ...], int]
 
 
-def _active_generators(w: int, gen_masks: list[int]) -> tuple[int, int]:
-    """(union of the supports of the generators inside w, their least support size, 0 if none)."""
-    outside = ~w
-    cover, gmin = 0, w.bit_length()  # no generator inside w is larger
-    for gm in gen_masks:
-        if gm & outside == 0:
-            cover |= gm
-            size = gm.bit_count()
-            if size < gmin:
-                gmin = size
-    return cover, gmin if cover else 0  # a zero cover: no generator, or only the empty one
-
-
 def guard_subset_scan(n: int, allow_large: bool) -> None:
     """Raise GuardError before a 2^n subset scan over the size limit."""
     if n > SUBSET_SCAN_LIMIT and not allow_large:
@@ -124,25 +116,6 @@ def guard_polarized_scan(m: int, allow_large: bool) -> None:
     if m > POLARIZED_SCAN_LIMIT and not allow_large:
         raise GuardError(
             f"polarized ring has {m} variables, over the {POLARIZED_SCAN_LIMIT} limit; override to force")
-
-
-def _filtered_sizes(w: int, faces: FaceColumns, kmax: int, masks: tuple[int, ...] = ()) -> list[list]:
-    """Boundary columns of the faces inside w that contain none of the masks, by size up to kmax.
-
-    The selected faces form a subcomplex, so the first empty size ends it and
-    no larger size has its columns built.
-    """
-    not_w = ~w
-    out = []
-    for k, group in enumerate(faces.by_size[: kmax + 1]):
-        inside = [f for f in group if f & not_w == 0]
-        if masks:
-            inside = [f for f in inside if all(f & m != m for m in masks)]
-        if not inside:
-            break
-        column = faces.columns(k)
-        out.append([column[f] for f in inside])
-    return out
 
 
 def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec) -> BettiTable:
@@ -248,50 +221,87 @@ def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = F
     return _hochster_table(clique_complex(g), edge_ideal(g.complement()).support_masks(), field)
 
 
+def _depth_scan(faces: FaceColumns, complexes) -> tuple[int, tuple]:
+    """Least |G_a| + 1 + ell with H_ell(Delta_a) != 0, G_a over the faces of a complex by size.
+
+    complexes(ga, kmax) yields (key, faces of Delta_a) for the degrees a with
+    negative part ga, the faces as a set that may leave out those of size
+    over kmax.  Only degrees ell <= kmax - 2 can beat the best depth, so only
+    faces of size <= kmax count, and those degrees vanish if some vertex v
+    joins every counted face with fewer than kmax vertices: the counted faces
+    then hold the cone over v up to that size.  Depth is at most the largest
+    face size, the dimension of S/I, and at least |G_a|, so the scan stops
+    once |G_a| reaches the best depth found.  The witness (key, ell) is the
+    first Delta_a that attains the depth and its least nonzero degree.
+    """
+    best, witness = len(faces.by_size), None
+    for size, group in enumerate(faces.by_size):
+        if size >= best:
+            break
+        for ga in group:
+            for key, selected in complexes(ga, best - size):
+                kmax = best - size  # best may have fallen since complexes(ga) started
+                grouped: list[list[int]] = [[] for _ in range(kmax + 1)]
+                for f in selected:
+                    if f.bit_count() <= kmax:
+                        grouped[f.bit_count()].append(f)
+                while not grouped[-1]:
+                    grouped.pop()  # the empty face is always selected
+                lower = [f for fs in grouped[:kmax] for f in fs]
+                vertices = grouped[1] if len(grouped) > 1 else []
+                if any(all(f | v in selected for f in lower) for v in vertices):
+                    continue
+                columns = [[faces.columns(k)[f] for f in fs] for k, fs in enumerate(grouped)]
+                dims = betti_from_sizes(columns, faces.field, -1, kmax - 2)
+                if dims:
+                    best = size + 1 + min(dims)
+                    witness = (key, min(dims))
+    return best, witness
+
+
 def _takayama_depth(c: SimplicialComplex, ideal: MonomialIdeal, field: FieldSpec) -> DepthResult:
     """Depth of S/I for c = Delta(sqrt I): the least |G_a| + 1 + ell with H_ell(Delta_a) != 0.
 
-    G_a runs over the faces of c by increasing size, each a_j off G_a over
-    0 .. rho_j - 1 (rho_j the largest exponent of x_j), and Delta_a keeps the faces
-    of c disjoint from G_a containing no mask {j not in G_a : b_j > a_j}, b a generator.
+    A variable in no generator has a_j < 0 in every degree and c is a cone
+    over it, so it lies in every G_a and adds 1; the scan runs on the faces of
+    c avoiding those.  Off G_a each a_j runs over 0 .. rho_j - 1 (rho_j the
+    largest exponent of x_j).  Delta_a is the link of G_a less the faces that
+    contain a mask {j not in G_a : b_j > a_j}, b a generator: a mask m with
+    m + G_a not a face holds no face of the link, and an empty mask leaves
+    Delta_a void.  Where a is 0 off G_a each mask is supp b - G_a, and no
+    face of the link holds one, so Delta_a is the whole link.
     """
     n = c.n
     if ideal.is_zero():
         return DepthResult(n, 0, ((-1,) * n, -1))
     rho = ideal.max_exponents()
-    levels = [[mask_of(j for j, e in enumerate(b) if e > t) for b in ideal.gens] for t in range(max(rho))]
     forced = mask_of(j for j in range(n) if rho[j] == 0)  # x_j in no generator: a_j < 0
-    by_size = c.faces_by_size()
-    # every Delta_a avoids G_a, which holds the forced vertices
-    faces = FaceColumns([[f for f in group if f & forced == 0] for group in by_size], field)
-    best, witness = n + 1, None
-    for size, group in enumerate(by_size):
-        if size >= best:
-            break  # ell >= -1, so no larger G_a can do better
-        for g in (f for f in group if f & forced == forced):
-            rest = ((1 << n) - 1) & ~g
-            vary = [j for j in bits(rest) if rho[j] > 1]
-            for values in itertools.product(*(range(rho[j]) for j in vary)):
-                raised = dict(zip(vary, values))
-                a = [-1 if g >> j & 1 else raised.get(j, 0) for j in range(n)]
-                masks = [0] * len(ideal.gens)
-                for t, level in enumerate(levels):
-                    at = mask_of(j for j in bits(rest) if a[j] == t)
-                    masks = [m | (lv & at) for m, lv in zip(masks, level)]
-                cover, gmin = _active_generators(rest, masks)
-                ell_hi = best - size - 2
-                if gmin == 0 or cover != rest or ell_hi < gmin - 2:
-                    continue  # Delta_a is void or a cone, or cannot beat best
-                # only masks that are faces of c can lie in a face of Delta_a,
-                # and a one-vertex mask just removes its vertex
-                free = rest & ~mask_of(m.bit_length() - 1 for m in masks if m & (m - 1) == 0)
-                inner = tuple(m for m in masks if m & (m - 1) and m in c.faces)
-                dims = betti_from_sizes(_filtered_sizes(free, faces, ell_hi + 2, inner),
-                                        field, gmin - 2, ell_hi)
-                if dims:
-                    best = size + 1 + min(dims)
-                    witness = (tuple(a), min(dims))
-    return DepthResult(best, n - best, witness)
+    faces = FaceColumns([[f for f in group if f & forced == 0] for group in c.faces_by_size()], field)
+    # levels[i][t]: the variables where generator i exceeds t, so a mask is the
+    # sum over t of levels[i][t] & {j : a_j = t}; a squarefree ideal reads links only
+    top = max(rho)
+    levels = [[mask_of(j for j, e in enumerate(b) if e > t) for t in range(top)]
+              for b in ideal.gens] if top > 1 else []
+
+    def complexes(ga: int, kmax: int):
+        neg = ga | forced
+        link = {f for group in faces.by_size[: kmax + 1] for f in group if f & ga == 0 and f | ga in c.faces}
+        vary = [j for j in range(n) if rho[j] > 1 and not neg >> j & 1]
+        for values in itertools.product(*(range(rho[j]) for j in vary)):
+            raised = dict(zip(vary, values))
+            a = tuple(-1 if neg >> j & 1 else raised.get(j, 0) for j in range(n))
+            if not any(values):
+                yield a, link
+                continue
+            at = [mask_of(j for j in range(n) if a[j] == t) for t in range(top)]
+            masks = {sum(map(operator.and_, lv, at)) for lv in levels}
+            masks = [m for m in masks if m | ga in c.faces]
+            if 0 not in masks:
+                yield a, {f for f in link if all(f & m != m for m in masks)}
+
+    depth, witness = _depth_scan(faces, complexes)
+    free = forced.bit_count()
+    return DepthResult(free + depth, n - free - depth, witness)
 
 
 def depth_stanley_reisner(c: SimplicialComplex, field: FieldSpec = GF2, *,
@@ -315,42 +325,6 @@ def guard_second_powers(n: int, m: int, allow_large: bool) -> None:
         raise GuardError(f"second-power scan limited to {POWERS_SCAN_LIMIT} non-universal vertices, "
                          f"got {m}; override to force")
     guard_face_enumeration(n)
-
-
-def _degree_complex_depth(faces: FaceColumns, complexes) -> int:
-    """Least |G_a| + 1 + ell with H_ell(Delta_a) != 0, G_a over the faces of a complex by size.
-
-    complexes(ga, kmax) yields the faces of each Delta_a to scan with
-    negative part ga, as a set that may leave out faces of size over kmax.
-    Only degrees ell <= kmax - 2 can beat the best depth, so only faces of
-    size <= kmax count, and those degrees vanish if some vertex v joins every
-    counted face with fewer than kmax vertices: the counted faces then hold
-    the cone over v up to that size.  Depth is at most the largest face
-    size, the dimension of S/I, and at least |G_a|, so the scan stops once
-    |G_a| reaches the best depth found.
-    """
-    best = len(faces.by_size)
-    for size, group in enumerate(faces.by_size):
-        if size >= best:
-            break
-        for ga in group:
-            for selected in complexes(ga, best - size):
-                kmax = best - size  # best may have fallen since complexes(ga) started
-                grouped: list[list[int]] = [[] for _ in range(kmax + 1)]
-                for f in selected:
-                    if f.bit_count() <= kmax:
-                        grouped[f.bit_count()].append(f)
-                while not grouped[-1]:
-                    grouped.pop()  # the empty face is always selected
-                lower = [f for fs in grouped[:kmax] for f in fs]
-                vertices = grouped[1] if len(grouped) > 1 else []
-                if any(all(f | v in selected for f in lower) for v in vertices):
-                    continue
-                columns = [[faces.columns(k)[f] for f in fs] for k, fs in enumerate(grouped)]
-                dims = betti_from_sizes(columns, faces.field, -1, kmax - 2)
-                if dims:
-                    best = size + 1 + min(dims)
-    return best
 
 
 def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> tuple[int, int]:
@@ -423,7 +397,7 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
                 common &= s
             if common:
                 continue  # a cone
-            yield {sub for s in family for sub in subsets(s)}
+            yield a, {sub for s in family for sub in subsets(s)}
 
     def square(ga: int, kmax: int):
         # the neighbours of G_a in G^c lie in N for every T, so A holds at
@@ -440,10 +414,10 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
         stack = [(0, 0, link)]
         while stack:
             a, first, kept = stack.pop()
-            key = frozenset(f for f, _ in kept)
-            if key not in seen:
-                seen.add(key)
-                yield key
+            selected = frozenset(f for f, _ in kept)
+            if selected not in seen:
+                seen.add(selected)
+                yield a, selected
             for i in range(first, len(verts)):
                 grown = a | 1 << verts[i]
                 child = []
@@ -456,7 +430,7 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
                     stack.append((grown, i + 1, child))
 
     free = g.n - m
-    return free + _degree_complex_depth(faces, symbolic), free + _degree_complex_depth(faces, square)
+    return free + _depth_scan(faces, symbolic)[0], free + _depth_scan(faces, square)[0]
 
 
 def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> int:

@@ -185,16 +185,8 @@ class TestHochsterWalk:
     def test_kept_subset_below_a_cone(self):
         # in C4 the parent {0, 1, 2} of the whole vertex set is a cone on 1, yet
         # the whole set carries beta_{2,4}: the walk must pass through the cone
-        c4_gens = edge_ideal(C4.complement()).support_masks()
-        assert betti._active_generators(0b0111, c4_gens) == (0b0101, 2)
-        assert betti._active_generators(0b1111, c4_gens) == (0b1111, 2)
         for field in (RATIONAL, GF2, GF3):
             assert graph_betti_table(C4, field).entries == oracle_betti_table(C4) == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
-
-    def test_active_generators_least_size_zero_means_none_or_empty(self):
-        assert betti._active_generators(0b011, [0b100]) == (0, 0)
-        assert betti._active_generators(0b011, [0b011, 0]) == (0b011, 0)
-        assert betti._active_generators(0b111, [0b110, 0b011, 0b1000]) == (0b111, 2)
 
     @pytest.mark.parametrize("u", [0, 4, 8])
     def test_prune_skips_subsets_on_a_universal_vertex(self, monkeypatch, u):
@@ -425,6 +417,17 @@ class TestSecondPowerDepths:
         field = FieldSpec(p)
         assert second_power_depths(g, field) == generator_route(g, field)
 
+    def test_matches_polarized_tables(self):
+        # an oracle that shares no code with the depth scan: polarization keeps
+        # the graded Betti numbers, so each depth is n - pd of the Hochster
+        # table of the polarized complex of the built ideal
+        for g in graph_corpus(seed=151, count=60, n_max=5, n_min=2):
+            for field in (GF2, GF3, RATIONAL):
+                expected = tuple(g.n if i.is_zero() else g.n - graded_betti_table(
+                    complex_from_squarefree_ideal(polarize(i).ideal), field).projective_dimension()
+                    for i in second_powers(g))
+                assert second_power_depths(g, field) == expected, (g.edges(), field)
+
     def test_complete_graph(self):
         # I = 0, so both quotients are S
         for n in range(1, 8):
@@ -593,14 +596,36 @@ class TestMonomialQuotientDepth:
         ideals = [parse_ideal("x1^2", num_vars=1), parse_ideal("x1^2\nx1*x2\nx2^2\n"),
                   parse_ideal("x1*x2^2\nx2*x3^3", num_vars=4), *second_powers(C6)]
         for ideal in ideals:
-            res = depth_monomial_quotient(ideal)
-            a, ell = res.witness
-            n = ideal.num_vars
-            assert len(a) == n < polarize(ideal).ideal.num_vars
-            rho = ideal.max_exponents()
-            assert all(-1 <= a[j] < rho[j] for j in range(n))
-            neg = mask_of(j for j in range(n) if a[j] < 0)
-            faces = {f for f in range(1 << n) if f & neg == 0 and all(
-                any(not (f | neg) >> j & 1 and b[j] > a[j] for j in range(n)) for b in ideal.gens)}
-            assert neg.bit_count() + ell + 1 == res.depth
-            assert reduced_betti(SimplicialComplex(n, frozenset(faces))).get(ell, 0) > 0
+            assert ideal.num_vars < polarize(ideal).ideal.num_vars
+            assert_witness_recomputes(ideal, depth_monomial_quotient(ideal), GF2)
+
+    @pytest.mark.parametrize("text, num_vars", [
+        ("x1^2*x2", None),  # rho_j > 1 only on x1, which G_a = {x1} can hold
+        ("x1^3*x2\nx2*x3", None),
+        ("x1^2*x2\nx2*x3", 5),  # x4 and x5 are in no generator: forced into every G_a
+        ("x1^2\nx2*x3\nx3*x4", None),  # a squared ghost among squarefree generators
+        ("x2^2*x3\nx1*x2\nx3*x4", 6),
+    ])
+    def test_link_shortcut_and_forced_variables(self, text, num_vars):
+        # Delta_a is read as the link of G_a where a is 0 off G_a and masked
+        # elsewhere; the polarized Hochster table is the oracle
+        ideal = parse_ideal(text, num_vars=num_vars)
+        pol = complex_from_squarefree_ideal(polarize(ideal).ideal)
+        for field in (RATIONAL, GF2, GF3):
+            res = depth_monomial_quotient(ideal, field)
+            assert res.depth == ideal.num_vars - graded_betti_table(pol, field).projective_dimension()
+            assert_witness_recomputes(ideal, res, field)
+
+
+def assert_witness_recomputes(ideal: MonomialIdeal, res: DepthResult, field: FieldSpec) -> None:
+    """Delta_a built from Takayama's definition at the witness a has reduced homology in degree ell."""
+    a, ell = res.witness
+    n = ideal.num_vars
+    assert len(a) == n
+    rho = ideal.max_exponents()
+    assert all(-1 <= a[j] < rho[j] for j in range(n))
+    neg = mask_of(j for j in range(n) if a[j] < 0)
+    faces = {f for f in range(1 << n) if f & neg == 0 and all(
+        any(not (f | neg) >> j & 1 and b[j] > a[j] for j in range(n)) for b in ideal.gens)}
+    assert neg.bit_count() + ell + 1 == res.depth
+    assert reduced_betti(SimplicialComplex(n, frozenset(faces)), field).get(ell, 0) > 0

@@ -361,6 +361,29 @@ class TestPowersGoldens:
             (expected["exit"], json.dumps(expected["output"], indent=2) + "\n", "")
 
 
+GOLDEN_DEPTH = json.loads((Path(__file__).parent / "golden_depth.json").read_text())
+
+
+class TestDepthGoldens:
+    """depth prints, byte for byte and witness included, what the earlier depth scan printed."""
+
+    @pytest.fixture(scope="class")
+    def graph_files(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("golden_depth")
+        for name, text in GOLDEN_DEPTH["files"].items():
+            (directory / f"{name}.txt").write_text(text)
+        return directory
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_DEPTH["cases"]))
+    def test_json_output(self, capsys, graph_files, case):
+        graph, field = case.split()
+        source = (["--input", str(graph_files / f"{graph}.txt")] if graph in GOLDEN_DEPTH["files"]
+                  else ["--name", graph])
+        expected = GOLDEN_DEPTH["cases"][case]
+        assert run(capsys, "depth", *source, "--format", "json", "--field", field) == \
+            (expected["exit"], json.dumps(expected["output"], indent=2) + "\n", "")
+
+
 class TestVerifyCommand:
     def test_figure1_text(self, capsys):
         code, out, _ = run(capsys, "verify", "--name", "figure1")
