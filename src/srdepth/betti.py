@@ -44,7 +44,7 @@ from typing import Mapping, Sequence
 
 from .complexes import (NONFACE_SCAN_LIMIT, SimplicialComplex, clique_complex, complex_from_squarefree_ideal,
                         guard_face_enumeration, stanley_reisner_ideal)
-from .graphs import Graph, GuardError, bits, mask_of
+from .graphs import Graph, GuardError, bits, mask_of, min_separator
 from .homology import GF2, FaceColumns, FieldSpec, betti_from_sizes, boundary_columns, boundary_rank
 from .monomials import MonomialIdeal, edge_ideal
 
@@ -436,15 +436,18 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
 def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> int:
     """Vertex connectivity read off Betti vanishing.
 
-    Smallest |X| whose removal leaves nonzero degree-0 reduced homology of
-    the clique complex restricted to the other vertices, or n - 1 when no
-    removal of at most n - 2 vertices does.  The 1-skeleton of the clique
-    complex is g, and d_1 maps each vertex onto the empty face, so it has
-    rank 1: with k = |X|, dim H_0 = (n - k) - 1 - rank d_2, where d_2 is
-    the boundary map of the edges disjoint from X.  It ranks those edge
-    columns on purpose, where the Hochster walk counts components: verify
-    compares it with flow kappa, and a component count would make it the
-    brute-force separator search over again.
+    Least |X| whose removal leaves nonzero degree-0 reduced homology of the
+    clique complex restricted to the other vertices, or n - 1 for a complete
+    graph.  The 1-skeleton of the clique complex is g, and d_1 maps each
+    vertex onto the empty face, so it has rank 1: with k = |X|, dim H_0 =
+    (n - k) - 1 - rank d_2, where d_2 is the boundary map of the edges
+    disjoint from X.  It ranks those edge columns on purpose, where the
+    Hochster walk counts components: verify compares it with flow kappa, and
+    a component count would make it the brute-force separator test over
+    again.  ``graphs.min_separator`` picks the sets X: down from a least-degree
+    neighbourhood, shrunk to an inclusion-minimal separator, then every set
+    one smaller, which is exact because a separator X with |V - X| >= 3
+    extends to one of size |X| + 1.
     """
     n = g.n
     if n < 2:
@@ -452,12 +455,11 @@ def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = Fal
     guard_subset_scan(n, allow_large)
     edges = sorted(1 << u | 1 << v for u, v in g.edges())
     columns = list(zip(edges, boundary_columns(edges, [1 << v for v in range(n)], field.characteristic)))
-    for k in range(n - 1):
-        for combo in itertools.combinations(range(n), k):
-            x = mask_of(combo)
-            if n - k - 1 - boundary_rank([col for e, col in columns if e & x == 0], field):
-                return k
-    return n - 1
+
+    def separates(x: int) -> bool:
+        return n - x.bit_count() - 1 - boundary_rank([col for e, col in columns if e & x == 0], field) != 0
+
+    return min_separator(g, separates).kappa
 
 
 def guard_parsed_ideal(n: int, gens: Sequence[Mapping[int, int]], allow_large: bool) -> None:

@@ -215,20 +215,49 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
 
 
 def vertex_connectivity_bruteforce(g: Graph) -> ConnectivityResult:
-    """Oracle: scan separators by increasing size. Cost 2^n, n <= 16."""
+    """Oracle: vertex connectivity by testing vertex sets for separation, n <= 16.
+
+    The sets come from ``min_separator``: down from a least-degree
+    neighbourhood, shrunk to a minimal separator, then every set one smaller.
+    That is exact because a separator X with |V - X| >= 3 extends to one of
+    size |X| + 1, and it scans C(n, kappa - 1) sets in full.  The witness is
+    the separator the search stops on, None for a complete g.
+    """
     if g.n == 0:
         raise ValueError("vertex connectivity of the empty graph is undefined")
     if g.n > BRUTE_FORCE_LIMIT:
         raise GuardError(f"brute-force connectivity limited to n <= {BRUTE_FORCE_LIMIT}")
-    if g.is_complete():
+    full = g.full_mask
+    return min_separator(g, lambda x: len(_components(g, full & ~x)) > 1)
+
+
+def min_separator(g: Graph, separates: Callable[[int], bool]) -> ConnectivityResult:
+    """Vertex connectivity of g, given a test of the sets whose removal disconnects it.
+
+    X starts as the neighbourhood N(v) of a least-degree vertex v, which
+    separates unless g is complete (kappa = n - 1, no witness).  One pass
+    drops each vertex of X in turn if X still separates without it.  From
+    N(v) that leaves X inclusion-minimal, since every dropped vertex keeps its
+    edge to v.  Then the sets of size |X| - 1 are tried in
+    ``itertools.combinations`` order: a separator found is shrunk in turn, and
+    none found makes |X| the connectivity and X the witness.  That is exact:
+    if X separates and |V - X| >= 3, some X + u separates, so a size with no
+    separator has none below it, and only the size just below kappa is
+    scanned in full.
+    """
+    x = g.adj[min(range(g.n), key=lambda v: g.adj[v].bit_count())]
+    if x.bit_count() == g.n - 1:
         return ConnectivityResult(g.n - 1, None)
-    for k in range(g.n - 1):
-        for combo in itertools.combinations(range(g.n), k):
-            w = mask_of(combo)
-            rest = g.full_mask & ~w
-            if rest.bit_count() >= 2 and len(_components(g, rest)) > 1:
-                return ConnectivityResult(k, w)
-    return ConnectivityResult(g.n - 1, None)  # unreachable for non-complete g
+    while True:
+        for u in bits(x):
+            if separates(x ^ 1 << u):
+                x ^= 1 << u
+        size = x.bit_count()
+        below = (mask_of(c) for c in itertools.combinations(range(g.n), size - 1)) if size else ()
+        smaller = next((w for w in below if separates(w)), None)
+        if smaller is None:
+            return ConnectivityResult(size, x)
+        x = smaller
 
 
 def is_chordal(g: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:

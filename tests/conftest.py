@@ -31,6 +31,30 @@ def graph_corpus(seed: int, count: int, n_max: int, n_min: int = 2) -> list[Grap
     return out
 
 
+def two_copies_at_a_vertex(g: Graph) -> Graph:
+    """Two copies of g that share vertex 0 and nothing else."""
+    shift = [0] + list(range(g.n, 2 * g.n - 1))
+    return Graph.from_edges(2 * g.n - 1, g.edges() + [(shift[u], shift[v]) for u, v in g.edges()])
+
+
+# K6 joined with two disjoint triangles: the clique complex has 9-vertex
+# faces, and kappa = 6 lies below the least degree 8
+K6_JOIN_TRIANGLES = Graph.from_edges(12, [(u, v) for u, v in itertools.combinations(range(12), 2)
+                                          if u < 6 or (u < 9) == (v < 9)])
+
+# name: (graph, kappa), where a kappa scan that starts from a least degree
+# has to search down, plus the smallest edge cases.  In two K_{3,3} sharing a
+# vertex, the neighbourhood of vertex 1 is a minimal separator of size 3.
+PINNED_KAPPA = {
+    "k6_join_triangles": (K6_JOIN_TRIANGLES, 6),
+    "two_k4_at_a_vertex": (two_copies_at_a_vertex(Graph.from_edges(4, itertools.combinations(range(4), 2))), 1),
+    "two_k33_at_a_vertex": (two_copies_at_a_vertex(Graph.from_edges(6, itertools.product(range(3), range(3, 6)))), 1),
+    "k3_and_isolated_vertex": (Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]), 0),
+    "edgeless_2": (Graph.from_edges(2, []), 0),
+    "k2": (Graph.from_edges(2, [(0, 1)]), 1),
+}
+
+
 def masks_to_tuples(faces: set[int]) -> set[tuple[int, ...]]:
     return {tuple(bits(f)) for f in faces}
 

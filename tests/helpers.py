@@ -5,7 +5,8 @@ complexes, reduced Betti numbers of a whole complex, ideal membership,
 intersections, colon ideals and the colon structure of (I^2 : x_i x_j), the
 symbolic square through minimal vertex covers, the generators of the second
 powers of an edge ideal (the oracle of the degree-complex depths), the ideal
-text printer, induced subgraphs, and the kappa > (2n-2)/3 arithmetic lemma.
+text printer, induced subgraphs, vertex connectivity by the ascending
+separator scan, and the kappa > (2n-2)/3 arithmetic lemma.
 Unlike the sympy oracle in ``conftest.py``, they reuse package code.
 """
 
@@ -216,6 +217,27 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
         for u in bits(g.adj[v] & keep):
             adj[index[v]] |= 1 << index[u]
     return Graph(len(verts), tuple(adj)), verts
+
+
+def kappa_by_ascending_scan(g: Graph) -> int:
+    """Least |X| over X of size 0, 1, ..., n - 2 with G - X disconnected, else n - 1.
+
+    Every removal set is tried in size order, with its own search for what X
+    leaves connected; the package's kappa scans start from a least degree
+    and search down, so this is their reference.
+    """
+    for k in range(g.n - 1):
+        for combo in itertools.combinations(range(g.n), k):
+            rest = g.full_mask & ~mask_of(combo)
+            reached = frontier = rest & -rest
+            while frontier:
+                for v in bits(frontier):
+                    frontier |= g.adj[v] & rest
+                frontier &= ~reached
+                reached |= frontier
+            if reached != rest:
+                return k
+    return max(g.n - 1, 0)
 
 
 def lemma_arithmetic(n: int, k: int) -> bool:

@@ -35,8 +35,9 @@ from srdepth.homology import GF2, GF3, RATIONAL, FieldSpec
 from srdepth.monomials import MonomialIdeal, edge_ideal, minimalize, parse_ideal, polarize
 from srdepth.verify import construct_example, random_chordal_graph
 
-from conftest import graph_corpus, masks_to_tuples, oracle_betti_table, oracle_hochster_table, random_graph
-from helpers import from_faces, link, reduced_betti, second_powers
+from conftest import (K6_JOIN_TRIANGLES, graph_corpus, masks_to_tuples, oracle_betti_table, oracle_hochster_table,
+                      random_graph)
+from helpers import from_faces, kappa_by_ascending_scan, link, reduced_betti, second_powers
 
 C4 = construct_example("cycle", t=4)
 C6 = construct_example("cycle", t=6)
@@ -302,11 +303,6 @@ def _record_column_builds(monkeypatch) -> tuple[list[int], set[int]]:
     return built, read
 
 
-# K6 joined with two disjoint triangles: the clique complex has 9-vertex faces
-K6_JOIN_TRIANGLES = Graph.from_edges(12, [(u, v) for u, v in itertools.combinations(range(12), 2)
-                                          if u < 6 or (u < 9) == (v < 9)])
-
-
 class TestLazyColumns:
     def test_depth_skips_the_large_faces(self, monkeypatch):
         # every scanned G_a holds the six universal vertices, so only faces of
@@ -332,7 +328,7 @@ class TestLazyColumns:
 
     def test_kappa_builds_the_edge_columns_once(self, monkeypatch):
         # kappa reads H_0 off the graph's own edges: no clique complex, one
-        # build of the size-2 columns, one rank per removal set
+        # build of the size-2 columns, one rank per removal set tested
         g = K6_JOIN_TRIANGLES
         built, ranked = [], []
         build, rank = betti.boundary_columns, betti.boundary_rank
@@ -356,9 +352,11 @@ class TestLazyColumns:
             ranked.clear()
             assert kappa_via_betti(g, field) == 6
             assert built == [[2]]
-            # every removal set below size 6, then {0, ..., 5}, the first of size 6
-            assert len(ranked) == sum(math.comb(12, k) for k in range(6)) + 1
-            assert ranked[0] == g.num_edges() and ranked[-1] == 6
+            # the scan starts at N(6) = {0, ..., 5, 7, 8} (degree 8), whose
+            # pass keeps 0, ..., 5 and drops 7 and 8; then every set of size 5
+            # fails, the last {7, ..., 11} leaving K7's 21 edges
+            assert len(ranked) == 8 + math.comb(12, 5)
+            assert ranked[-1] == 21
 
 
 @st.composite
@@ -468,10 +466,12 @@ class TestSecondPowerDepths:
 
 
 class TestKappaViaBetti:
-    def test_matches_flow_kappa(self, medium_corpus):
-        for field in (GF2, GF3, FieldSpec(5), RATIONAL):
-            for g in medium_corpus:
-                assert kappa_via_betti(g, field) == vertex_connectivity(g).kappa
+    def test_matches_flow_kappa(self, small_corpus, medium_corpus):
+        for g in small_corpus + medium_corpus:
+            kappa = kappa_by_ascending_scan(g)
+            assert vertex_connectivity(g).kappa == kappa
+            for field in (GF2, GF3, FieldSpec(5), RATIONAL):
+                assert kappa_via_betti(g, field) == kappa
 
     def test_complete_graph(self):
         assert kappa_via_betti(construct_example("complete", t=4)) == 3

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srdepth import graphs
+from srdepth.betti import kappa_via_betti
 from srdepth.graphs import (
     BRUTE_FORCE_LIMIT,
     ConnectivityResult,
@@ -26,10 +27,11 @@ from srdepth.graphs import (
     vertex_connectivity,
     vertex_connectivity_bruteforce,
 )
+from srdepth.homology import GF2, GF3, RATIONAL, FieldSpec
 from srdepth.verify import construct_example, random_chordal_graph
 
-from conftest import graph_corpus, random_graph
-from helpers import induced_subgraph, minimal_vertex_covers
+from conftest import PINNED_KAPPA, graph_corpus, random_graph
+from helpers import induced_subgraph, kappa_by_ascending_scan, minimal_vertex_covers
 
 C6 = construct_example("cycle", t=6)
 FIG1 = construct_example("figure1")
@@ -175,12 +177,17 @@ class TestConnectivity:
             assert vertex_connectivity_bruteforce(g).kappa == expected
 
     def test_witness_contract(self):
-        for g in (C6, FIG1, construct_example("bipartite", a=2, b=3)):
-            res = vertex_connectivity(g)
-            assert res.witness is not None
-            assert res.witness.bit_count() == res.kappa
-            rest = g.full_mask & ~res.witness
-            assert not is_connected(g, rest)
+        # kappa = delta on C6, FIG1 and K_{2,3}; below it in most pinned graphs
+        graphs = [C6, FIG1, construct_example("bipartite", a=2, b=3), K4, Graph(1, (0,))]
+        for g in graphs + [g for g, _ in PINNED_KAPPA.values()]:
+            for scan in (vertex_connectivity, vertex_connectivity_bruteforce):
+                res = scan(g)
+                assert res.kappa == kappa_by_ascending_scan(g)
+                assert (res.witness is None) == g.is_complete()
+                if res.witness is not None:
+                    assert res.witness.bit_count() == res.kappa
+                    rest = g.full_mask & ~res.witness
+                    assert not is_connected(g, rest)
 
     def test_complete_graph_has_no_witness(self):
         res = vertex_connectivity(K4)
@@ -192,9 +199,32 @@ class TestConnectivity:
         with pytest.raises(ValueError):
             vertex_connectivity_bruteforce(Graph(0, ()))
 
-    def test_flow_equals_bruteforce_on_corpus(self):
-        for g in graph_corpus(seed=5, count=80, n_max=10):
-            assert vertex_connectivity(g).kappa == vertex_connectivity_bruteforce(g).kappa
+    def test_flow_equals_bruteforce_on_corpus(self, small_corpus, medium_corpus):
+        for g in graph_corpus(seed=5, count=80, n_max=10) + small_corpus + medium_corpus:
+            kappa = kappa_by_ascending_scan(g)
+            assert vertex_connectivity(g).kappa == kappa
+            assert vertex_connectivity_bruteforce(g).kappa == kappa
+
+    # the search down from a least degree: past a first minimal separator
+    # above kappa + 1, down to kappa = 0, and on a complete graph
+    @pytest.mark.parametrize("name", PINNED_KAPPA)
+    def test_pinned_kappa(self, name):
+        g, kappa = PINNED_KAPPA[name]
+        assert kappa_by_ascending_scan(g) == kappa
+        assert vertex_connectivity(g).kappa == kappa
+        assert vertex_connectivity_bruteforce(g).kappa == kappa
+        for field in (GF2, GF3, FieldSpec(5), RATIONAL):
+            assert kappa_via_betti(g, field) == kappa
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph_strategy(n_max=9))
+    def test_property_matches_ascending_scan(self, g):
+        kappa = kappa_by_ascending_scan(g)
+        assert vertex_connectivity(g).kappa == kappa
+        assert vertex_connectivity_bruteforce(g).kappa == kappa
+        if g.n >= 2:
+            for field in (GF2, GF3, FieldSpec(5), RATIONAL):
+                assert kappa_via_betti(g, field) == kappa
 
     def test_flow_stops_at_evens_bound(self, monkeypatch):
         # the scan stops once its first vertex reaches the best cut found, yet
