@@ -450,8 +450,8 @@ def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = Fal
     extends to one of size |X| + 1.
     """
     n = g.n
-    if n < 2:
-        raise ValueError("kappa via Betti numbers needs n >= 2")
+    if n == 0:
+        raise ValueError("vertex connectivity of the empty graph is undefined")
     guard_subset_scan(n, allow_large)
     edges = sorted(1 << u | 1 << v for u, v in g.edges())
     columns = list(zip(edges, boundary_columns(edges, [1 << v for v in range(n)], field.characteristic)))

@@ -140,60 +140,55 @@ def is_connected(g: Graph, within: Optional[int] = None) -> bool:
 def _min_vertex_cut(g: Graph, s: int, t: int) -> tuple[int, int]:
     """Fewest vertices separating non-adjacent s from t, with a cut mask.
 
-    Menger via unit-capacity max-flow on the vertex-split digraph:
-    node 2v = entry of v, node 2v+1 = exit of v.
+    Menger via unit-capacity max-flow on the vertex-split digraph, where each
+    v has an entry and an exit, searched from the exit of s to the entry of t
+    straight off ``g.adj``.  The flow is ``prev[v]``, the vertex before v on
+    a flow path, or -1 if v is on none (always for s and t).  The residual
+    steps are: the entry of v to its own exit if v is on no path, else back
+    to the exit of prev[v]; the exit of v to the entry of every neighbour,
+    and back to its own entry if v is on a path.  Each augmenting path sets
+    prev[v] for every entry it passes: to the vertex whose exit it came from,
+    or -1 if it came from v's own exit.  The cut is what the last, failed
+    breadth-first search reached the entry of but not the exit of: the
+    minimum s-t separator closest to s, the same for every maximum flow.
     """
-    inf = g.n + 1
-    cap: dict[tuple[int, int], int] = {}
-    for v in range(g.n):
-        cap[(2 * v, 2 * v + 1)] = inf if v in (s, t) else 1
-        cap[(2 * v + 1, 2 * v)] = 0
-    for u, v in g.edges():
-        for a, b in ((u, v), (v, u)):
-            cap[(2 * a + 1, 2 * b)] = inf
-            cap.setdefault((2 * b, 2 * a + 1), 0)
-    out_arcs: dict[int, list[int]] = {}
-    for (a, b) in cap:
-        out_arcs.setdefault(a, []).append(b)
-    source, sink = 2 * s + 1, 2 * t
+    prev = [-1] * g.n
+    came_in = [-1] * g.n  # came_in[v]: the vertex whose exit reached the entry of v
+    came_out = [-1] * g.n  # came_out[u]: the vertex whose entry reached the exit of u
     flow = 0
     while True:
-        parent = {source: source}
-        queue = [source]
-        while queue and sink not in parent:
-            nxt = []
-            for a in queue:
-                for b in out_arcs.get(a, ()):
-                    if b not in parent and cap[(a, b)] > 0:
-                        parent[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if sink not in parent:
-            break
-        b = sink
-        while b != source:
-            a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
+        seen_in, seen_out = 0, 1 << s
+        exits = [s]  # the search's queue: the loop reads what it appends
+        for u in exits:
+            new = (g.adj[u] | (1 << u if prev[u] >= 0 else 0)) & ~seen_in
+            seen_in |= new
+            for v in bits(new):
+                came_in[v] = u
+                w = v if prev[v] < 0 else prev[v]
+                if not seen_out >> w & 1:
+                    seen_out |= 1 << w
+                    came_out[w] = v
+                    exits.append(w)
+            if seen_in >> t & 1:
+                break
+        else:
+            return flow, seen_in & ~seen_out
+        u = came_in[t]
+        while u != s:
+            v = came_out[u]
+            u = came_in[v]
+            prev[v] = -1 if u == v else u
         flow += 1
-    reach = {source}
-    queue = [source]
-    while queue:
-        a = queue.pop()
-        for b in out_arcs.get(a, ()):
-            if b not in reach and cap[(a, b)] > 0:
-                reach.add(b)
-                queue.append(b)
-    cut = 0
-    for v in range(g.n):
-        if 2 * v in reach and 2 * v + 1 not in reach:
-            cut |= 1 << v
-    return flow, cut
 
 
 def vertex_connectivity(g: Graph) -> ConnectivityResult:
-    """Exact vertex connectivity by max-flow over non-adjacent pairs."""
+    """Exact vertex connectivity by max-flow over non-adjacent pairs.
+
+    Pairs (s, t) with s < t go in lexicographic order and stop at Even's
+    bound: a minimum separator misses one of 0..kappa, which it cuts off from
+    some t, so the loop ends once s reaches the least cut found.  The witness
+    is the closest-to-s minimum separator of the first pair whose cut is least.
+    """
     if g.n == 0:
         raise ValueError("vertex connectivity of the empty graph is undefined")
     if g.is_complete():
@@ -203,7 +198,7 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     best = None
     for s in range(g.n):
         if best is not None and s >= best[0]:
-            break  # a minimum separator misses one of 0..kappa, so kappa is attained below s once s >= best[0]
+            break
         for t in range(s + 1, g.n):
             if g.has_edge(s, t):
                 continue

@@ -5,8 +5,9 @@ complexes, reduced Betti numbers of a whole complex, ideal membership,
 intersections, colon ideals and the colon structure of (I^2 : x_i x_j), the
 symbolic square through minimal vertex covers, the generators of the second
 powers of an edge ideal (the oracle of the degree-complex depths), the ideal
-text printer, induced subgraphs, vertex connectivity by the ascending
-separator scan, and the kappa > (2n-2)/3 arithmetic lemma.
+text printer, induced subgraphs, vertex connectivity and the minimum s-t
+separators by ascending separator scans, and the kappa > (2n-2)/3
+arithmetic lemma.
 Unlike the sympy oracle in ``conftest.py``, they reuse package code.
 """
 
@@ -219,6 +220,17 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(verts), tuple(adj)), verts
 
 
+def reached_within(g: Graph, start: int, rest: int) -> int:
+    """The vertices of rest that a search from the start mask reaches inside rest."""
+    reached = frontier = start
+    while frontier:
+        for v in bits(frontier):
+            frontier |= g.adj[v] & rest
+        frontier &= ~reached
+        reached |= frontier
+    return reached
+
+
 def kappa_by_ascending_scan(g: Graph) -> int:
     """Least |X| over X of size 0, 1, ..., n - 2 with G - X disconnected, else n - 1.
 
@@ -229,15 +241,29 @@ def kappa_by_ascending_scan(g: Graph) -> int:
     for k in range(g.n - 1):
         for combo in itertools.combinations(range(g.n), k):
             rest = g.full_mask & ~mask_of(combo)
-            reached = frontier = rest & -rest
-            while frontier:
-                for v in bits(frontier):
-                    frontier |= g.adj[v] & rest
-                frontier &= ~reached
-                reached |= frontier
-            if reached != rest:
+            if reached_within(g, rest & -rest, rest) != rest:
                 return k
     return max(g.n - 1, 0)
+
+
+def minimum_st_separators(g: Graph, s: int, t: int) -> dict[int, int]:
+    """Every least-size set X, avoiding non-adjacent s and t, with t off the
+    s-side component of G - X, mapped to that component.
+
+    The sets are tried in size order, each with its own search from s; the
+    reference for the cut ``graphs._min_vertex_cut`` reads off a flow.
+    """
+    others = [v for v in range(g.n) if v not in (s, t)]
+    for k in range(len(others) + 1):
+        found = {}
+        for combo in itertools.combinations(others, k):
+            x = mask_of(combo)
+            side = reached_within(g, 1 << s, g.full_mask & ~x)
+            if not side >> t & 1:
+                found[x] = side
+        if found:
+            return found
+    raise ValueError("s and t are adjacent")
 
 
 def lemma_arithmetic(n: int, k: int) -> bool:

@@ -479,9 +479,13 @@ class TestKappaViaBetti:
     def test_disconnected(self):
         assert kappa_via_betti(Graph(3, (0, 0, 0))) == 0
 
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            kappa_via_betti(Graph(1, (0,)))
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="empty graph is undefined"):
+            kappa_via_betti(Graph(0, ()))
+
+    def test_k1(self):
+        # K1 is complete: kappa = n - 1 = 0, as flow and brute force give
+        assert kappa_via_betti(Graph(1, (0,))) == 0
 
     def test_guard_and_override(self):
         path = construct_example("path", t=SUBSET_SCAN_LIMIT + 1)

@@ -270,6 +270,11 @@ class TestKappaCommand:
         code, out, _ = run(capsys, "kappa", "--name", "k4")
         assert code == 0 and "none (complete graph)" in out
 
+    def test_k1(self, capsys):
+        # flow, brute force and Betti vanishing all give K1 kappa = n - 1 = 0
+        assert run(capsys, "kappa", "--name", "k1") == \
+            (0, "kappa = 0\nkappa via Betti vanishing = 0\nseparator = none (complete graph)\n", "")
+
     def test_guard_before_scan(self, capsys):
         (code, _, err), elapsed = run_timed(capsys, "kappa", "--name", "k12,12")
         assert code == 2 and "subset scan" in err
@@ -381,6 +386,29 @@ class TestDepthGoldens:
                   else ["--name", graph])
         expected = GOLDEN_DEPTH["cases"][case]
         assert run(capsys, "depth", *source, "--format", "json", "--field", field) == \
+            (expected["exit"], json.dumps(expected["output"], indent=2) + "\n", "")
+
+
+GOLDEN_KAPPA = json.loads((Path(__file__).parent / "golden_kappa.json").read_text())
+
+
+class TestKappaGoldens:
+    """kappa prints, byte for byte and separator included, what the dict-network max-flow printed."""
+
+    @pytest.fixture(scope="class")
+    def graph_files(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("golden_kappa")
+        for name, text in GOLDEN_KAPPA["files"].items():
+            (directory / f"{name}.txt").write_text(text)
+        return directory
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_KAPPA["cases"]))
+    def test_json_output(self, capsys, graph_files, case):
+        graph, field = case.split()
+        source = (["--input", str(graph_files / f"{graph}.txt")] if graph in GOLDEN_KAPPA["files"]
+                  else ["--name", graph])
+        expected = GOLDEN_KAPPA["cases"][case]
+        assert run(capsys, "kappa", *source, "--format", "json", "--field", field) == \
             (expected["exit"], json.dumps(expected["output"], indent=2) + "\n", "")
 
 

@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srdepth import graphs
@@ -31,7 +31,7 @@ from srdepth.homology import GF2, GF3, RATIONAL, FieldSpec
 from srdepth.verify import construct_example, random_chordal_graph
 
 from conftest import PINNED_KAPPA, graph_corpus, random_graph
-from helpers import induced_subgraph, kappa_by_ascending_scan, minimal_vertex_covers
+from helpers import induced_subgraph, kappa_by_ascending_scan, minimal_vertex_covers, minimum_st_separators
 
 C6 = construct_example("cycle", t=6)
 FIG1 = construct_example("figure1")
@@ -218,13 +218,36 @@ class TestConnectivity:
 
     @settings(max_examples=80, deadline=None)
     @given(graph_strategy(n_max=9))
+    @example(Graph(1, (0,)))
     def test_property_matches_ascending_scan(self, g):
         kappa = kappa_by_ascending_scan(g)
         assert vertex_connectivity(g).kappa == kappa
         assert vertex_connectivity_bruteforce(g).kappa == kappa
-        if g.n >= 2:
-            for field in (GF2, GF3, FieldSpec(5), RATIONAL):
-                assert kappa_via_betti(g, field) == kappa
+        for field in (GF2, GF3, FieldSpec(5), RATIONAL):
+            assert kappa_via_betti(g, field) == kappa
+
+    def test_cut_is_the_minimum_separator_closest_to_s(self, small_corpus, medium_corpus):
+        # every maximum flow leaves the same residual reach, whose cut is the
+        # minimum separator with the least s-side component
+        pairs = 0
+        for g in graph_corpus(seed=23, count=700, n_max=9, n_min=3) + small_corpus + medium_corpus:
+            for s, t in itertools.permutations(range(g.n), 2):
+                if g.has_edge(s, t):
+                    continue
+                sides = minimum_st_separators(g, s, t)
+                flow, cut = graphs._min_vertex_cut(g, s, t)
+                assert flow == next(iter(sides)).bit_count(), (format_edge_list(g), s, t)
+                assert cut in sides and all(sides[cut] & ~side == 0 for side in sides.values()), \
+                    (format_edge_list(g), s, t, cut)
+                pairs += 1
+        assert pairs == 12_994
+
+    def test_cut_steps_back_through_a_flow_path(self):
+        # 1-based, s = 3 and t = 7 with flow path 3-2-4-1-7: the last search
+        # reaches the exit of 2 only by the step from the exit of 4 back to
+        # its own entry; without that step the cut is {1, 2}
+        g = Graph.from_edges(7, [(0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (2, 5), (4, 5)])
+        assert graphs._min_vertex_cut(g, 2, 6) == (1, mask_of([0]))
 
     def test_flow_stops_at_evens_bound(self, monkeypatch):
         # the scan stops once its first vertex reaches the best cut found, yet

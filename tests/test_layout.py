@@ -3,12 +3,14 @@
 The benchmark's tracer (``perfbench/tracing.py``) wraps srdepth functions by
 name, so a traced name dropped from the package would only show up when the
 benchmark runs.  Code that only tests use belongs in ``tests/helpers.py``.
+The runtime imports nothing outside the standard library.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -79,3 +81,18 @@ class TestLayout:
                 continue
             unreached.append(qualified)
         assert unreached == []
+
+    def test_runtime_imports_only_the_standard_library(self):
+        """Every import in the package, nested ones too, is relative, srdepth's or stdlib."""
+        outside = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                outside += [f"{path.name}: {m}" for m in modules
+                            if m.partition(".")[0] not in sys.stdlib_module_names | {"srdepth"}]
+        assert outside == []
