@@ -112,29 +112,18 @@ class ConnectivityResult:
     witness: Optional[int]
 
 
-def _components(g: Graph, within: int) -> list[int]:
-    """Connected component masks of the induced subgraph on ``within``."""
-    seen = 0
-    comps = []
-    for v in bits(within):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.adj[u] & within & ~comp
-            comp |= nxt
-            frontier = nxt
-        comps.append(comp)
-        seen |= comp
-    return comps
-
-
 def is_connected(g: Graph, within: Optional[int] = None) -> bool:
+    """Whether g[within] (all of g by default) is connected, by one sweep
+    from its lowest vertex; an empty or one-vertex ``within`` is."""
     within = g.full_mask if within is None else within
-    return len(_components(g, within)) <= 1
+    reached = frontier = within & -within
+    while frontier:
+        nxt = 0
+        for u in bits(frontier):
+            nxt |= g.adj[u]
+        frontier = nxt & within & ~reached
+        reached |= frontier
+    return reached == within
 
 
 def _min_vertex_cut(g: Graph, s: int, t: int) -> tuple[int, int]:
@@ -188,11 +177,10 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     bound: a minimum separator misses one of 0..kappa, which it cuts off from
     some t, so the loop ends once s reaches the least cut found.  The witness
     is the closest-to-s minimum separator of the first pair whose cut is least.
+    A complete graph has no such pair: kappa = n - 1, no witness.
     """
     if g.n == 0:
         raise ValueError("vertex connectivity of the empty graph is undefined")
-    if g.is_complete():
-        return ConnectivityResult(g.n - 1, None)
     if not is_connected(g):
         return ConnectivityResult(0, 0)
     best = None
@@ -205,8 +193,7 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
             value, cut = _min_vertex_cut(g, s, t)
             if best is None or value < best[0]:
                 best = (value, cut)
-    assert best is not None
-    return ConnectivityResult(best[0], best[1])
+    return ConnectivityResult(g.n - 1, None) if best is None else ConnectivityResult(*best)
 
 
 def vertex_connectivity_bruteforce(g: Graph) -> ConnectivityResult:
@@ -223,7 +210,7 @@ def vertex_connectivity_bruteforce(g: Graph) -> ConnectivityResult:
     if g.n > BRUTE_FORCE_LIMIT:
         raise GuardError(f"brute-force connectivity limited to n <= {BRUTE_FORCE_LIMIT}")
     full = g.full_mask
-    return min_separator(g, lambda x: len(_components(g, full & ~x)) > 1)
+    return min_separator(g, lambda x: not is_connected(g, full & ~x))
 
 
 def min_separator(g: Graph, separates: Callable[[int], bool]) -> ConnectivityResult:
@@ -330,8 +317,9 @@ def parse_graph6(line: str, check: Callable[[int], None] = lambda n: None) -> Gr
     if not s:
         raise ParseError("empty graph6 line")
     data = [ord(c) - 63 for c in s]
-    if any(x < 0 or x > 63 for x in data):
-        raise ParseError("graph6 byte out of range at offset 0")
+    bad = next((i for i, x in enumerate(data) if not 0 <= x <= 63), None)
+    if bad is not None:
+        raise ParseError(f"graph6 byte out of range at offset {bad}")
     if data[0] < 63:
         n = data[0]
         body = data[1:]
@@ -349,17 +337,8 @@ def parse_graph6(line: str, check: Callable[[int], None] = lambda n: None) -> Gr
     if len(body) != (nbits + 5) // 6:
         raise ParseError(f"graph6 length mismatch for n={n}: got {len(body)} data bytes")
     check(n)
-    bitstream = []
-    for x in body:
-        bitstream.extend((x >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bitstream[k]:
-                edges.append((u, v))
-            k += 1
-    return Graph.from_edges(n, edges)
+    pairs = ((u, v) for v in range(1, n) for u in range(v))
+    return Graph.from_edges(n, (p for k, p in enumerate(pairs) if body[k // 6] >> 5 - k % 6 & 1))
 
 
 def parse_graph(text: str, fmt: str = "edge-list", check: Callable[[int], None] = lambda n: None) -> Graph:

@@ -120,12 +120,9 @@ def power(a: MonomialIdeal, m: int) -> MonomialIdeal:
     return out
 
 
-def edge_ideal(g: Graph, exclude: int = 0) -> MonomialIdeal:
-    """Edge ideal of g, labels preserved; vertices in ``exclude`` dropped."""
-    gens = []
-    for u, v in g.edges():
-        if not (exclude >> u & 1 or exclude >> v & 1):
-            gens.append(monomial_from_mask(g.n, (1 << u) | (1 << v)))
+def edge_ideal(g: Graph) -> MonomialIdeal:
+    """Edge ideal of g: one generator x_u x_v per edge, labels as in g."""
+    gens = [monomial_from_mask(g.n, (1 << u) | (1 << v)) for u, v in g.edges()]
     return MonomialIdeal(g.n, tuple(sorted(gens)))
 
 

@@ -5,9 +5,9 @@ complexes, reduced Betti numbers of a whole complex, ideal membership,
 intersections, colon ideals and the colon structure of (I^2 : x_i x_j), the
 symbolic square through minimal vertex covers, the generators of the second
 powers of an edge ideal (the oracle of the degree-complex depths), the ideal
-text printer, induced subgraphs, vertex connectivity and the minimum s-t
-separators by ascending separator scans, and the kappa > (2n-2)/3
-arithmetic lemma.
+text printer, induced subgraphs, graphs with a vertex set isolated, vertex
+connectivity and the minimum s-t separators by ascending separator scans,
+and the kappa > (2n-2)/3 arithmetic lemma.
 Unlike the sympy oracle in ``conftest.py``, they reuse package code.
 """
 
@@ -178,7 +178,7 @@ def colon_square_structure(g_c: Graph, a: int, i: int, j: int) -> MonomialIdeal:
     keep = g_c.full_mask & ~a
     ni = g_c.adj[i] & keep
     nj = g_c.adj[j] & keep
-    gens = list(edge_ideal(g_c, exclude=a).gens)
+    gens = list(edge_ideal(isolate(g_c, a)).gens)
     for p in bits(ni):
         for q in bits(nj):
             if p != q:
@@ -218,6 +218,11 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
         for u in bits(g.adj[v] & keep):
             adj[index[v]] |= 1 << index[u]
     return Graph(len(verts), tuple(adj)), verts
+
+
+def isolate(g: Graph, a: int) -> Graph:
+    """g with every edge at a vertex of ``a`` removed; the labels are kept."""
+    return Graph(g.n, tuple(0 if a >> v & 1 else row & ~a for v, row in enumerate(g.adj)))
 
 
 def reached_within(g: Graph, start: int, rest: int) -> int:

@@ -31,7 +31,8 @@ from srdepth.homology import GF2, GF3, RATIONAL, FieldSpec
 from srdepth.verify import construct_example, random_chordal_graph
 
 from conftest import PINNED_KAPPA, graph_corpus, random_graph
-from helpers import induced_subgraph, kappa_by_ascending_scan, minimal_vertex_covers, minimum_st_separators
+from helpers import (induced_subgraph, kappa_by_ascending_scan, minimal_vertex_covers, minimum_st_separators,
+                     reached_within)
 
 C6 = construct_example("cycle", t=6)
 FIG1 = construct_example("figure1")
@@ -45,6 +46,15 @@ def graph_strategy(n_max=9):
         chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
         return Graph.from_edges(n, chosen)
     return st.composite(build)()
+
+
+def encode_graph6(g):
+    """graph6 text of g: the size field, then the upper triangle column by column, 6 bits a byte."""
+    size = [g.n] if g.n < 63 else [63, g.n >> 12, g.n >> 6 & 63, g.n & 63]
+    flags = [g.has_edge(u, v) for v in range(1, g.n) for u in range(v)]
+    flags += [False] * (-len(flags) % 6)
+    body = [sum(f << 5 - i for i, f in enumerate(flags[k:k + 6])) for k in range(0, len(flags), 6)]
+    return "".join(chr(63 + x) for x in size + body)
 
 
 class TestParsing:
@@ -94,6 +104,23 @@ class TestParsing:
     def test_graph6_length_mismatch(self):
         with pytest.raises(ParseError, match="length mismatch"):
             parse_graph6("EhE")
+
+    @pytest.mark.parametrize("line", ["C~ ~", ">>graph6<<C~ ~", "C~\x7f"])
+    def test_graph6_bad_byte_offset(self, line):
+        # the offset counts from the first byte after the header; whitespace
+        # around the line is stripped, so the bad byte is an inner one
+        with pytest.raises(ParseError, match="out of range at offset 2$"):
+            parse_graph6(line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=70).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n * (n - 1) // 2) - 1))))
+    def test_graph6_round_trip(self, n_and_bits):
+        # n >= 63 takes the 4-byte size field
+        n, edge_bits = n_and_bits
+        pairs = [(u, v) for v in range(1, n) for u in range(v)]
+        g = Graph.from_edges(n, [p for k, p in enumerate(pairs) if edge_bits >> k & 1])
+        assert parse_graph6(encode_graph6(g)) == g
 
     def test_format_round_trip(self):
         assert parse_edge_list(format_edge_list(FIG1)).edges() == FIG1.edges()
@@ -188,6 +215,21 @@ class TestConnectivity:
                     assert res.witness.bit_count() == res.kappa
                     rest = g.full_mask & ~res.witness
                     assert not is_connected(g, rest)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_strategy(n_max=10).flatmap(lambda g: st.tuples(st.just(g), st.one_of(
+        st.integers(min_value=0, max_value=g.full_mask),
+        st.sampled_from([0, g.full_mask] + [1 << v for v in range(g.n)]),
+        st.sampled_from([1 << u | 1 << v for u, v in itertools.combinations(range(g.n), 2)
+                         if not g.has_edge(u, v)] or [0])))))
+    @example((C6, 0))
+    @example((C6, 1 << 3))
+    @example((C6, 1 << 0 | 1 << 2))
+    @example((C6, C6.full_mask))
+    @example((Graph.from_edges(4, [(0, 1), (2, 3)]), 0b1111))
+    def test_is_connected_matches_search(self, g_within):
+        g, within = g_within
+        assert is_connected(g, within) == (reached_within(g, within & -within, within) == within)
 
     def test_complete_graph_has_no_witness(self):
         res = vertex_connectivity(K4)
