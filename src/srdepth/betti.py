@@ -11,8 +11,7 @@ the degree complexes Delta_a for each, and the scan skips a Delta_a whose
 faces, truncated to the degrees that could lower the depth, form a cone
 over one of its vertices.  The Hochster walk has its own cone test on
 covers: a vertex that lies in no minimal non-face inside W makes
-Delta|_W a cone, and a complex whose minimal non-faces all have at least q
-vertices has vanishing reduced homology below degree q - 2.
+Delta|_W a cone.
 
 The depths of S/I^(2) and S/I^2 for I = I(G^c) are read off Delta = Delta(G)
 itself, with no ideal built (Minh-Trung, "Cohen-Macaulayness of monomial
@@ -27,12 +26,25 @@ being W + {v} for v above W's top vertex.  Delta|_{W+v} adds to Delta|_W just
 the faces whose top vertex is v, and W + v adds to W just the minimal
 non-faces whose top vertex is v, so a child extends its parent's face counts,
 1-skeleton components, echelon forms for faces of size >= 3 and cover test by
-those alone.  The edges' boundary map needs no echelon form: over every field
-its rank is the number of vertices less the number of components of the
-1-skeleton (the H_0 that also bounds depth by kappa + 1).  A child's subtree
-is walked only if each vertex it leaves uncovered lies in a minimal non-face
-inside W + v plus the vertices above v.  The prune is exact: adding those
-non-faces to W + v gives a subset in the subtree that passes.
+those alone.  The counts f_k and ranks r_k travel packed in one int each, so
+a node copies two ints where it copied two lists, and one subtraction gives
+every dim H_{k-1} = f_k - r_k - r_{k+1}.  The edges' boundary map needs no
+echelon form: over every field its rank is the number of vertices less the
+number of components of the 1-skeleton (the H_0 that also bounds depth by
+kappa + 1).  A child's subtree is walked only if each vertex it leaves
+uncovered lies in a minimal non-face inside W + v plus the vertices above v.
+The prune is exact: adding those non-faces to W + v gives a subset in the
+subtree that passes.  Two-vertex non-faces, all of them for a flag complex,
+enter the cover test and the prune as masks of partners.
+
+On a flag complex a vertex v dominated by u in Delta|_W (N[v] & W inside
+N[u]) can be deleted by a strong collapse, which keeps reduced homology over
+every field (Barmak-Minian, "Strong homotopy types, nerves and collapses",
+DCG 47, 2012).  The walk folds only the leaves W + v with v the last vertex:
+such a leaf reads its parent's counts and ranks nothing, while an inner node
+would still have to build the echelon forms its children extend.  Graph
+tables walk the graph relabelled in a smallest-last degeneracy order, which
+on random graphs leaves fewer faces to filter and rank.
 """
 
 from __future__ import annotations
@@ -118,20 +130,44 @@ def guard_polarized_scan(m: int, allow_large: bool) -> None:
             f"polarized ring has {m} variables, over the {POLARIZED_SCAN_LIMIT} limit; override to force")
 
 
+def _pair_masks(n: int, pairs) -> list[int]:
+    """out[u]: the vertices v with {u, v} among the two-vertex masks in pairs."""
+    out = [0] * n
+    for m in pairs:
+        low = m & -m
+        out[low.bit_length() - 1] |= m ^ low
+        out[m.bit_length() - 1] |= low
+    return out
+
+
 def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec) -> BettiTable:
     """Betti table of K[c] by a depth-first walk over vertex subsets; gen_masks are c's minimal non-faces.
 
-    The children of w are w | {v} for v above w's top vertex.  A child copies
-    w's face counts, ranks, 1-skeleton components, per-size pivots, cover
-    (the union of the generators inside w) and least generator size, and adds
-    to the copies only the faces and generators inside it whose top vertex is
-    v.  Its edges to w merge the components they touch, and the rank of the
-    edges' boundary map is the number of vertices less the number of
-    components, over every field, so only faces of size >= 3 extend echelon
-    forms.  It passes the cover test iff its cover is all of it.  Its subtree
-    is walked only if each vertex it leaves uncovered lies in a generator
-    inside it plus the vertices above v, which is exactly when adding those
-    generators gives a subset that passes.
+    The children of w are w | {v} for v above w's top vertex.  A child
+    extends w's face counts, ranks, 1-skeleton components, per-size pivots
+    and cover (the union of the generators inside w) by the faces and
+    generators inside it whose top vertex is v.  Its edges to w merge the
+    components they touch, and the rank of the edges' boundary map is the
+    number of vertices less the number of components, over every field, so
+    only faces of size >= 3 extend echelon forms, and only a child that has
+    such faces copies the pivot dicts.  It passes the cover test iff its
+    cover is all of it.  Its subtree is walked only if each vertex it leaves
+    uncovered lies in a generator inside it plus the vertices above v, which
+    is exactly when adding those generators gives a subset that passes.
+
+    - The counts f_k and ranks r_k are one int each, with f_k in bits
+      k * width up to (k + 1) * width, width = n + 1 > log2 C(n, k).  So
+      f - r - (r >> width) holds every dim H_{k-1} = f_k - r_k - r_{k+1}
+      with no borrow between fields, as each is >= 0; a field below the
+      least generator size less one reads 0 by itself.
+    - Two-vertex generators are bitmasks: the partners of v below v enter
+      the cover, and all partners of an uncovered u the prune.  Larger and
+      one-vertex generators are listed by top vertex and by vertex.
+    - When every generator has at most two vertices, c is the clique complex
+      of its 1-skeleton (plus ghost vertices).  Then a leaf x = w + v,
+      v = n - 1, whose v some u dominates in it (N[v] & x inside N[u])
+      strong-collapses onto c|w: it reads w's counts and filters and ranks
+      nothing.
     """
     n = c.n
     by_size = c.faces_by_size()
@@ -142,37 +178,51 @@ def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec
     for k in range(3, top):
         for f, col in faces.columns(k).items():
             by_top[f.bit_length() - 1][k - 3].append((f, col))
-    vertices = set(by_size[1]) if top > 1 else set()
-    below = [0] * n  # below[v]: the vertices under v that share an edge with it
-    for e in by_size[2] if top > 2 else ():
-        t = e.bit_length() - 1
-        below[t] |= e ^ 1 << t
-    gens_by_top = [[(gm, gm.bit_count()) for gm in gen_masks if gm.bit_length() == v + 1] for v in range(n)]
-    gens_at = [[gm for gm in gen_masks if gm >> u & 1] for u in range(n)]  # the generators holding u
+    vertices = mask_of(f.bit_length() - 1 for f in by_size[1]) if top > 1 else 0
+    nbr = _pair_masks(n, by_size[2] if top > 2 else ())  # nbr[v]: the vertices that share an edge with v
+    partners = _pair_masks(n, [gm for gm in gen_masks if gm.bit_count() == 2])
+    others = [gm for gm in gen_masks if gm.bit_count() != 2]
+    others_by_top = [[gm for gm in others if gm.bit_length() == v + 1] for v in range(n)]
+    others_at = [[gm for gm in others if gm >> u & 1] for u in range(n)]  # the other generators holding u
+    flag = all(gm.bit_count() <= 2 for gm in gen_masks)
+    width = n + 1
+    field_mask = (1 << width) - 1
     entries = {(0, 0): 1}
 
-    def walk(w: int, cover: int, gmin: int, f: list[int], r: list[int], comps: list[int],
-             pivots: list[dict]) -> None:
+    def read(j: int, f: int, r: int) -> None:
+        dims = f - r - (r >> width)  # field k: dim H_{k-1}
+        while dims:
+            k = ((dims & -dims).bit_length() - 1) // width
+            d = dims >> k * width & field_mask
+            dims ^= d << k * width
+            entries[j - k, j] = entries.get((j - k, j), 0) + d
+
+    def walk(w: int, cover: int, f: int, r: int, comps: list[int], pivots: list[dict]) -> None:
         for v in range(w.bit_length(), n):
             x = w | 1 << v
             outside = ~x
-            cx, gx = cover, gmin
-            for gm, size in gens_by_top[v]:
+            cx = cover
+            pair = w & partners[v]
+            if pair:
+                cx |= pair | 1 << v
+            for gm in others_by_top[v]:
                 if gm & outside == 0:
                     cx |= gm
-                    if size < gx:
-                        gx = size
             if cx != x:
                 missing = (2 << v) - 1 & outside  # outside every subset in x's subtree
-                if any(all(gm & missing for gm in gens_at[u]) for u in bits(x & ~cx)):
+                if any(not partners[u] & ~missing and all(gm & missing for gm in others_at[u])
+                       for u in bits(x & ~cx)):
                     continue
+            nb = w & nbr[v]
+            if v == n - 1 and flag and any(nb & ~nbr[u] == 1 << u for u in bits(nb)):
+                # a dominated leaf: with nothing above v, a leaf that fails the cover test was pruned
+                read(x.bit_count(), f, r)
+                continue
             fx, rx, kx, px = f, r, comps, pivots
-            if 1 << v in vertices:
-                fx, rx = f[:], r[:]
+            if vertices >> v & 1:
                 # every vertex maps onto the empty face, so d_1 has rank 1
-                fx[1] += 1
-                rx[1] = 1
-                nb = w & below[v]
+                fx += 1 << width
+                rx |= 1 << width
                 if nb:
                     merged, kx = 1 << v, []
                     for comp in comps:
@@ -181,28 +231,25 @@ def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec
                         else:
                             kx.append(comp)
                     kx.append(merged)
-                    fx[2] += nb.bit_count()
-                    rx[2] = fx[1] - len(kx)
-                    px = pivots[:]
+                    # r_2 = f_1 - #components: v joins the components it touches into one
+                    fx += nb.bit_count() << 2 * width
+                    rx += len(comps) - len(kx) + 1 << 2 * width
                     for k, group in enumerate(by_top[v], 3):
                         new = [col for face, col in group if face & outside == 0]
                         if not new:
                             break  # a size-(k+1) face with top v contains a size-k one
-                        fx[k] += len(new)
+                        if px is pivots:
+                            px = pivots[:]
                         px[k] = dict(pivots[k])
-                        rx[k] += boundary_rank(new, field, px[k])
+                        fx += len(new) << k * width
+                        rx += boundary_rank(new, field, px[k]) << k * width
                 else:
                     kx = comps + [1 << v]  # a new component: rank d_2 is unchanged
             if cx == x:
-                j = x.bit_count()
-                for ell in range(gx - 2, min(j, top - 1)):
-                    d = fx[ell + 1] - rx[ell + 1] - rx[ell + 2]
-                    if d:
-                        key = (j - ell - 1, j)
-                        entries[key] = entries.get(key, 0) + d
-            walk(x, cx, gx, fx, rx, kx, px)
+                read(x.bit_count(), fx, rx)
+            walk(x, cx, fx, rx, kx, px)
 
-    walk(0, 0, n + 1, [1] + [0] * top, [0] * (top + 1), [], [{} for _ in range(top)])
+    walk(0, 0, 1, 0, [], [{} for _ in range(top)])
     return BettiTable(c.n, entries)
 
 
@@ -216,9 +263,21 @@ def graded_betti_table(c: SimplicialComplex, field: FieldSpec = GF2, *,
 
 
 def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> BettiTable:
-    """Betti table of S/I(G^c): the clique complex's minimal non-faces are the non-edges."""
+    """Betti table of S/I(G^c): the clique complex's minimal non-faces are the non-edges.
+
+    The table does not depend on the labels, so the walk runs on g relabelled
+    in a smallest-last degeneracy order (Matula-Beck, J. ACM 30, 1983): a
+    least-degree vertex of what is left, the lowest on ties, takes the highest
+    free label.  Low-degree vertices then come last in the walk, where they
+    add few faces, and more leaves end on a dominated vertex.
+    """
     guard_subset_scan(g.n, allow_large)
-    return _hochster_table(clique_complex(g), edge_ideal(g.complement()).support_masks(), field)
+    label, left = [0] * g.n, g.full_mask
+    for free in range(g.n - 1, -1, -1):
+        v = min(bits(left), key=lambda u: (g.adj[u] & left).bit_count())
+        label[v], left = free, left ^ 1 << v
+    h = Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])
+    return _hochster_table(clique_complex(h), edge_ideal(h.complement()).support_masks(), field)
 
 
 def _depth_scan(faces: FaceColumns, complexes) -> tuple[int, tuple]:

@@ -192,32 +192,68 @@ class TestHochsterWalk:
     @pytest.mark.parametrize("u", [0, 4, 8])
     def test_prune_skips_subsets_on_a_universal_vertex(self, monkeypatch, u):
         # u is isolated in G^c, so every subset holding u, and every subset in
-        # its subtree, is a cone on u: the walk must never reduce a face on u
+        # its subtree, is a cone on u: the walk must never reduce a face on u.
+        # graph_betti_table relabels the vertices, so u is found in the built
+        # complex by its role: the vertex that shares an edge with every other
         rng = random.Random(53)
         g = random_graph(rng, 9, 0.5)
         g = Graph.from_edges(9, g.edges() + [tuple(sorted((u, v))) for v in range(9) if v != u])
         expected = oracle_betti_table(g)
-        built, reduced = [], []
-
-        class Recording(homology.FaceColumns):
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(self)
-
-        def recording_rank(columns, field, pivots=None):
-            reduced.extend(columns)
-            return homology.boundary_rank(columns, field, pivots)
-
-        monkeypatch.setattr(betti, "FaceColumns", Recording)
-        monkeypatch.setattr(betti, "boundary_rank", recording_rank)
+        built, reduced = _record_walk(monkeypatch)
         assert graph_betti_table(g, RATIONAL).entries == expected
         (faces,) = built
-        # edge columns are never reduced (rank d_2 comes from components), so
-        # only the sizes the walk ranks can show a face on u
-        on_u = {id(col) for k in range(3, len(faces.by_size))
-                for f, col in faces.columns(k).items() if f >> u & 1}
+        edges = set(faces.by_size[2])
+        (label,) = [x for x in range(9) if all(1 << x | 1 << y in edges for y in range(9) if y != x)]
+        on_u = _columns_on(faces, label)
         assert on_u and reduced
         assert not any(id(col) in on_u for col in reduced)
+
+    def test_dominated_leaf_reduces_no_column(self, monkeypatch):
+        # the last vertex v = 8 is joined to the triangle 0, 1, 2 only, so in
+        # a leaf holding one of them, that one dominates v and the leaf
+        # collapses onto its parent; a leaf holding none has no edge on v
+        rng = random.Random(71)
+        g = random_graph(rng, 8, 0.5)
+        g = Graph.from_edges(9, g.edges() + [(0, 1), (0, 2), (1, 2), (0, 8), (1, 8), (2, 8)])
+        expected = oracle_betti_table(g)
+        for field in (RATIONAL, GF2, GF3):
+            built, reduced = _record_walk(monkeypatch)
+            assert graded_betti_table(clique_complex(g), field).entries == expected
+            (faces,) = built
+            on_v = _columns_on(faces, 8)
+            assert on_v and reduced
+            assert not any(id(col) in on_v for col in reduced)
+
+    @pytest.mark.parametrize("field", [RATIONAL, GF2, GF3], ids=["QQ", "GF2", "GF3"])
+    def test_counts_fill_their_fields(self, field):
+        # a triangle-free graph on all n vertices has H_1 of rank |E| - n + 1,
+        # which needs more bits than a narrow packed field holds
+        k55, k56 = construct_example("bipartite", a=5, b=5), construct_example("bipartite", a=5, b=6)
+        assert graph_betti_table(k56, field)[(9, 11)] == 30 - 11 + 1 == 20
+        assert graph_betti_table(k55, field)[(8, 10)] == 25 - 10 + 1 == 16
+
+
+def _record_walk(monkeypatch) -> tuple[list, list]:
+    """Record the FaceColumns each walk builds and every column it reduces."""
+    built, reduced = [], []
+
+    class Recording(homology.FaceColumns):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def recording_rank(columns, field, pivots=None):
+        reduced.extend(columns)
+        return homology.boundary_rank(columns, field, pivots)
+
+    monkeypatch.setattr(betti, "FaceColumns", Recording)
+    monkeypatch.setattr(betti, "boundary_rank", recording_rank)
+    return built, reduced
+
+
+def _columns_on(faces: homology.FaceColumns, u: int) -> set[int]:
+    """The ids of the columns of u's faces of size >= 3, the only sizes the walk ranks."""
+    return {id(col) for k in range(3, len(faces.by_size)) for f, col in faces.columns(k).items() if f >> u & 1}
 
 
 class TestGraphBettiTable:
@@ -386,6 +422,31 @@ class TestDepthRoutes:
         for field in (GF2, GF3, RATIONAL):
             pd = graded_betti_table(pol, field).projective_dimension()
             assert depth_monomial_quotient(square, field).depth == g.n - pd
+
+
+@st.composite
+def relabelled_graphs(draw, n_max=9):
+    """A graph and a copy of it under a random permutation of its labels."""
+    g = draw(small_graphs(n_max=n_max))
+    perm = draw(st.permutations(range(g.n)))
+    return g, Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestRelabel:
+    # graph_betti_table walks g relabelled in a degeneracy order;
+    # graded_betti_table walks the clique complex in the labels it is given
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(relabelled_graphs())
+    def test_table_ignores_labels(self, pair):
+        g, h = pair
+        expected = oracle_betti_table(g) if g.n <= 7 else None
+        for field in (GF2, GF3, RATIONAL):
+            table = graph_betti_table(g, field)
+            assert graph_betti_table(h, field) == table
+            assert graded_betti_table(clique_complex(g), field) == table
+            assert graded_betti_table(clique_complex(h), field) == table
+            if expected is not None:
+                assert table.entries == expected
 
 
 def join_universal(g: Graph, u: int) -> Graph:
