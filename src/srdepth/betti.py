@@ -28,23 +28,29 @@ non-faces whose top vertex is v, so a child extends its parent's face counts,
 1-skeleton components, echelon forms for faces of size >= 3 and cover test by
 those alone.  The counts f_k and ranks r_k travel packed in one int each, so
 a node copies two ints where it copied two lists, and one subtraction gives
-every dim H_{k-1} = f_k - r_k - r_{k+1}.  The edges' boundary map needs no
+every dim H_{k-1} = f_k - r_k - r_{k+1}.  A kept W adds that difference to
+one packed accumulator for its size |W|, unpacked into the table once the
+walk ends.  The edges' boundary map needs no
 echelon form: over every field its rank is the number of vertices less the
 number of components of the 1-skeleton (the H_0 that also bounds depth by
 kappa + 1).  A child's subtree is walked only if each vertex it leaves
 uncovered lies in a minimal non-face inside W + v plus the vertices above v.
 The prune is exact: adding those non-faces to W + v gives a subset in the
 subtree that passes.  Two-vertex non-faces, all of them for a flag complex,
-enter the cover test and the prune as masks of partners.
+enter the cover test as masks of partners and the prune as one mask per v:
+the vertices with a partner above v, which an uncovered vertex needs.
 
 On a flag complex a vertex v dominated by u in Delta|_W (N[v] & W inside
 N[u]) can be deleted by a strong collapse, which keeps reduced homology over
 every field (Barmak-Minian, "Strong homotopy types, nerves and collapses",
 DCG 47, 2012).  The walk folds only the leaves W + v with v the last vertex:
 such a leaf reads its parent's counts and ranks nothing, while an inner node
-would still have to build the echelon forms its children extend.  Graph
-tables walk the graph relabelled in a smallest-last degeneracy order, which
-on random graphs leaves fewer faces to filter and rank.
+would still have to build the echelon forms its children extend.  Whether
+a leaf folds depends only on the neighbours of v in W, so the walk memoises
+it per table.  Graph tables walk the graph relabelled in a smallest-last
+degeneracy order, which on random graphs leaves fewer faces to filter and
+rank and puts a least-degree vertex last, so the memo holds at most 2^delta
+entries, delta the least degree.
 """
 
 from __future__ import annotations
@@ -156,18 +162,26 @@ def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec
     is exactly when adding those generators gives a subset that passes.
 
     - The counts f_k and ranks r_k are one int each, with f_k in bits
-      k * width up to (k + 1) * width, width = n + 1 > log2 C(n, k).  So
-      f - r - (r >> width) holds every dim H_{k-1} = f_k - r_k - r_{k+1}
-      with no borrow between fields, as each is >= 0; a field below the
-      least generator size less one reads 0 by itself.
+      k * width up to (k + 1) * width.  So f - r - (r >> width) holds every
+      dim H_{k-1} = f_k - r_k - r_{k+1} with no borrow between fields, as
+      each is >= 0; a field below the least generator size less one reads 0
+      by itself.  A kept x adds it to acc[|x|], whose field k sums
+      beta_{|x|-k,|x|}: fewer than 2^n dims, each at most C(n, k) < 2^n.
+      So width = 2n + 1 bits holds every field, and acc is unpacked into
+      the table once, after the walk.
     - Two-vertex generators are bitmasks: the partners of v below v enter
-      the cover, and all partners of an uncovered u the prune.  Larger and
-      one-vertex generators are listed by top vertex and by vertex.
+      the cover.  An uncovered u of x has no partner in x, so it passes the
+      prune's pair test iff it lies in high[v], the vertices with a partner
+      above v; only the others are tested against the larger generators.
+      Larger and one-vertex generators are listed by top vertex and by
+      vertex.
     - When every generator has at most two vertices, c is the clique complex
       of its 1-skeleton (plus ghost vertices).  Then a leaf x = w + v,
       v = n - 1, whose v some u dominates in it (N[v] & x inside N[u])
       strong-collapses onto c|w: it reads w's counts and filters and ranks
-      nothing.
+      nothing.  Domination depends only on nb = w & N(v), so the answers
+      are kept per table by nb, at most 2^deg(v) of them.  A leaf calls no
+      walk, as it has no children.
     """
     n = c.n
     by_size = c.faces_by_size()
@@ -184,18 +198,13 @@ def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec
     others = [gm for gm in gen_masks if gm.bit_count() != 2]
     others_by_top = [[gm for gm in others if gm.bit_length() == v + 1] for v in range(n)]
     others_at = [[gm for gm in others if gm >> u & 1] for u in range(n)]  # the other generators holding u
+    # high[v]: the vertices with a two-vertex partner above v
+    high = [mask_of(u for u in range(n) if partners[u] >> v + 1) for v in range(n)]
     flag = all(gm.bit_count() <= 2 for gm in gen_masks)
-    width = n + 1
-    field_mask = (1 << width) - 1
-    entries = {(0, 0): 1}
-
-    def read(j: int, f: int, r: int) -> None:
-        dims = f - r - (r >> width)  # field k: dim H_{k-1}
-        while dims:
-            k = ((dims & -dims).bit_length() - 1) // width
-            d = dims >> k * width & field_mask
-            dims ^= d << k * width
-            entries[j - k, j] = entries.get((j - k, j), 0) + d
+    last = n - 1
+    dominated: dict[int, bool] = {}  # w & nbr[last] -> some u dominates last in x
+    width = 2 * n + 1
+    acc = [0] * (n + 1)  # acc[j], field k: beta_{j-k,j}
 
     def walk(w: int, cover: int, f: int, r: int, comps: list[int], pivots: list[dict]) -> None:
         for v in range(w.bit_length(), n):
@@ -208,16 +217,21 @@ def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec
             for gm in others_by_top[v]:
                 if gm & outside == 0:
                     cx |= gm
-            if cx != x:
+            # an uncovered u has no partner in x, so it has one above v iff u is in high[v]
+            stuck = x & ~cx & ~high[v]
+            if stuck:
                 missing = (2 << v) - 1 & outside  # outside every subset in x's subtree
-                if any(not partners[u] & ~missing and all(gm & missing for gm in others_at[u])
-                       for u in bits(x & ~cx)):
+                if any(all(gm & missing for gm in others_at[u]) for u in bits(stuck)):
                     continue
             nb = w & nbr[v]
-            if v == n - 1 and flag and any(nb & ~nbr[u] == 1 << u for u in bits(nb)):
-                # a dominated leaf: with nothing above v, a leaf that fails the cover test was pruned
-                read(x.bit_count(), f, r)
-                continue
+            if v == last and flag:
+                fold = dominated.get(nb)
+                if fold is None:
+                    fold = dominated[nb] = any(nb & ~nbr[u] == 1 << u for u in bits(nb))
+                if fold:
+                    # a dominated leaf: with nothing above v, a leaf that fails the cover test was pruned
+                    acc[x.bit_count()] += f - r - (r >> width)
+                    continue
             fx, rx, kx, px = f, r, comps, pivots
             if vertices >> v & 1:
                 # every vertex maps onto the empty face, so d_1 has rank 1
@@ -246,10 +260,18 @@ def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec
                 else:
                     kx = comps + [1 << v]  # a new component: rank d_2 is unchanged
             if cx == x:
-                read(x.bit_count(), fx, rx)
-            walk(x, cx, fx, rx, kx, px)
+                acc[x.bit_count()] += fx - rx - (rx >> width)  # field k: dim H_{k-1}
+            if v != last:
+                walk(x, cx, fx, rx, kx, px)
 
     walk(0, 0, 1, 0, [], [{} for _ in range(top)])
+    field_mask = (1 << width) - 1
+    entries = {(0, 0): 1}
+    for j, dims in enumerate(acc):
+        for k in range(j + 1):
+            d = dims >> k * width & field_mask
+            if d:
+                entries[j - k, j] = d
     return BettiTable(c.n, entries)
 
 

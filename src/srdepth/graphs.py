@@ -126,8 +126,8 @@ def is_connected(g: Graph, within: Optional[int] = None) -> bool:
     return reached == within
 
 
-def _min_vertex_cut(g: Graph, s: int, t: int) -> tuple[int, int]:
-    """Fewest vertices separating non-adjacent s from t, with a cut mask.
+def _min_vertex_cut(g: Graph, s: int, t: int, cap: Optional[int] = None) -> tuple[int, Optional[int]]:
+    """Fewest vertices separating non-adjacent s from t, with a cut mask; (cap, None) if that is >= cap.
 
     Menger via unit-capacity max-flow on the vertex-split digraph, where each
     v has an entry and an exit, searched from the exit of s to the entry of t
@@ -140,12 +140,13 @@ def _min_vertex_cut(g: Graph, s: int, t: int) -> tuple[int, int]:
     or -1 if it came from v's own exit.  The cut is what the last, failed
     breadth-first search reached the entry of but not the exit of: the
     minimum s-t separator closest to s, the same for every maximum flow.
+    A flow that reaches cap stops there.
     """
     prev = [-1] * g.n
     came_in = [-1] * g.n  # came_in[v]: the vertex whose exit reached the entry of v
     came_out = [-1] * g.n  # came_out[u]: the vertex whose entry reached the exit of u
     flow = 0
-    while True:
+    while cap is None or flow < cap:
         seen_in, seen_out = 0, 1 << s
         exits = [s]  # the search's queue: the loop reads what it appends
         for u in exits:
@@ -168,6 +169,7 @@ def _min_vertex_cut(g: Graph, s: int, t: int) -> tuple[int, int]:
             u = came_in[v]
             prev[v] = -1 if u == v else u
         flow += 1
+    return cap, None
 
 
 def vertex_connectivity(g: Graph) -> ConnectivityResult:
@@ -175,25 +177,26 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
 
     Pairs (s, t) with s < t go in lexicographic order and stop at Even's
     bound: a minimum separator misses one of 0..kappa, which it cuts off from
-    some t, so the loop ends once s reaches the least cut found.  The witness
-    is the closest-to-s minimum separator of the first pair whose cut is least.
-    A complete graph has no such pair: kappa = n - 1, no witness.
+    some t, so the loop ends once s reaches the least cut found.  A pair's
+    flow stops there too, as a cut no smaller cannot replace the best.  The
+    witness is the closest-to-s minimum separator of the first pair whose cut
+    is least.  A complete graph has no such pair: kappa = n - 1, no witness.
     """
     if g.n == 0:
         raise ValueError("vertex connectivity of the empty graph is undefined")
     if not is_connected(g):
         return ConnectivityResult(0, 0)
-    best = None
+    best = (g.n - 1, None)  # no pair's cut reaches n - 1
     for s in range(g.n):
-        if best is not None and s >= best[0]:
+        if s >= best[0]:
             break
         for t in range(s + 1, g.n):
             if g.has_edge(s, t):
                 continue
-            value, cut = _min_vertex_cut(g, s, t)
-            if best is None or value < best[0]:
+            value, cut = _min_vertex_cut(g, s, t, best[0])
+            if value < best[0]:
                 best = (value, cut)
-    return ConnectivityResult(g.n - 1, None) if best is None else ConnectivityResult(*best)
+    return ConnectivityResult(*best)
 
 
 def vertex_connectivity_bruteforce(g: Graph) -> ConnectivityResult:

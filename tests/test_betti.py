@@ -232,6 +232,16 @@ class TestHochsterWalk:
         assert graph_betti_table(k56, field)[(9, 11)] == 30 - 11 + 1 == 20
         assert graph_betti_table(k55, field)[(8, 10)] == 25 - 10 + 1 == 16
 
+    @pytest.mark.parametrize("field", [RATIONAL, GF2, GF3], ids=["QQ", "GF2", "GF3"])
+    def test_sums_fill_their_fields(self, field):
+        # the widest sums the default guard admits: on 14 vertices and no edges
+        # every j-subset adds its j - 1 components to beta_{j-1,j}, the table
+        # of I(K_14), whose largest entry 21,021 exceeds 2^14
+        table = graph_betti_table(Graph.from_edges(14, []), field)
+        expected = {(i, i + 1): i * math.comb(14, i + 1) for i in range(1, 14)}
+        assert table.entries == {(0, 0): 1, **expected}
+        assert max(expected.values()) == 7 * 3003 == 21021 > 1 << 14
+
 
 def _record_walk(monkeypatch) -> tuple[list, list]:
     """Record the FaceColumns each walk builds and every column it reduces."""

@@ -291,15 +291,29 @@ class TestConnectivity:
         g = Graph.from_edges(7, [(0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (2, 5), (4, 5)])
         assert graphs._min_vertex_cut(g, 2, 6) == (1, mask_of([0]))
 
+    def test_cap_stops_the_flow(self, small_corpus, medium_corpus):
+        # below the cap the cut is the uncapped one; from the cap on, no cut
+        capped = 0
+        for g in small_corpus + medium_corpus:
+            for s, t in itertools.combinations(range(g.n), 2):
+                if g.has_edge(s, t):
+                    continue
+                flow, cut = graphs._min_vertex_cut(g, s, t)
+                for cap in range(flow + 2):
+                    expected = (flow, cut) if flow < cap else (cap, None)
+                    assert graphs._min_vertex_cut(g, s, t, cap) == expected, (format_edge_list(g), s, t, cap)
+                capped += flow + 1
+        assert capped
+
     def test_flow_stops_at_evens_bound(self, monkeypatch):
         # the scan stops once its first vertex reaches the best cut found, yet
         # kappa and the witness are those of the first minimum pair of all pairs
         cut = graphs._min_vertex_cut
         calls = []
 
-        def counting_cut(g, s, t):
+        def counting_cut(g, s, t, cap=None):
             calls.append((s, t))
-            return cut(g, s, t)
+            return cut(g, s, t, cap)
 
         monkeypatch.setattr(graphs, "_min_vertex_cut", counting_cut)
         rng = random.Random(61)
