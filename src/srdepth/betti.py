@@ -21,7 +21,19 @@ F - G_a for the facets F of Delta containing G_a with sum_{j not in F} a_j
 <= 1, and Delta_a(I^2) = {H in lk G_a : x^a not in I^2 S[x_T^-1]},
 T = H + G_a.
 
-The Hochster scan walks the vertex subsets depth first, each W's children
+Graph tables, where Delta = Delta(G) is flag, come from a recurrence over
+the vertex subsets in increasing order.  With v the top vertex of x and
+w = x - v, Delta|_x is Delta|_w glued along the link Delta|_{w & N(v)} to a
+cone, so the reduced Mayer-Vietoris sequence gives x's reduced homology
+from that of w and of w & N(v), two smaller subsets, and the ranks of the
+maps between them.  Those ranks are counts, except at a conflict, a subset
+where both have homology in one degree k >= 1; only a conflict takes ranks,
+from scratch on the clique complex.  The recurrence holds a list of 2^n
+packed dimensions while it builds one table.
+
+The tables of other complexes (graded_betti_table, which the tests also use
+to check graph tables) come from the Hochster walk, which visits the vertex
+subsets depth first, each W's children
 being W + {v} for v above W's top vertex.  Delta|_{W+v} adds to Delta|_W just
 the faces whose top vertex is v, and W + v adds to W just the minimal
 non-faces whose top vertex is v, so a child extends its parent's face counts,
@@ -47,10 +59,7 @@ DCG 47, 2012).  The walk folds only the leaves W + v with v the last vertex:
 such a leaf reads its parent's counts and ranks nothing, while an inner node
 would still have to build the echelon forms its children extend.  Whether
 a leaf folds depends only on the neighbours of v in W, so the walk memoises
-it per table.  Graph tables walk the graph relabelled in a smallest-last
-degeneracy order, which on random graphs leaves fewer faces to filter and
-rank and puts a least-degree vertex last, so the memo holds at most 2^delta
-entries, delta the least degree.
+it per table.
 """
 
 from __future__ import annotations
@@ -265,14 +274,19 @@ def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec
                 walk(x, cx, fx, rx, kx, px)
 
     walk(0, 0, 1, 0, [], [{} for _ in range(top)])
+    return _unpack(n, acc, width)
+
+
+def _unpack(n: int, acc: list[int], width: int) -> BettiTable:
+    """The table whose beta_{j-k,j} is field k, of the given width, of acc[j]; beta_{0,0} = 1."""
     field_mask = (1 << width) - 1
     entries = {(0, 0): 1}
-    for j, dims in enumerate(acc):
+    for j, sums in enumerate(acc):
         for k in range(j + 1):
-            d = dims >> k * width & field_mask
+            d = sums >> k * width & field_mask
             if d:
                 entries[j - k, j] = d
-    return BettiTable(c.n, entries)
+    return BettiTable(n, entries)
 
 
 def graded_betti_table(c: SimplicialComplex, field: FieldSpec = GF2, *,
@@ -285,21 +299,105 @@ def graded_betti_table(c: SimplicialComplex, field: FieldSpec = GF2, *,
 
 
 def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> BettiTable:
-    """Betti table of S/I(G^c): the clique complex's minimal non-faces are the non-edges.
+    """Betti table of S/I(G^c) by a Mayer-Vietoris recurrence over the vertex subsets of g.
 
-    The table does not depend on the labels, so the walk runs on g relabelled
-    in a smallest-last degeneracy order (Matula-Beck, J. ACM 30, 1983): a
-    least-degree vertex of what is left, the lowest on ties, takes the highest
-    free label.  Low-degree vertices then come last in the walk, where they
-    add few faces, and more leaves end on a dominated vertex.
+    With Delta = Delta(g), x = w + v and v the top vertex of x, Delta|_x is
+    Delta|_w glued to the cone over v on Delta|_nb, nb = w & N(v), along
+    Delta|_nb.  The cone is acyclic, so the reduced Mayer-Vietoris sequence
+    gives dim H_k(x) = dim H_k(w) - rank i_k + dim H_{k-1}(nb) - rank i_{k-1}
+    for the maps i_k: H_k(nb) -> H_k(w) induced by inclusion (Hatcher,
+    Algebraic Topology, section 2.2).  Every rank but the conflicting ones is
+    known without linear algebra:
+
+    - rank i_{-1} is 1 when w = nb = {} (x is one vertex) and 0 otherwise;
+    - rank i_0 is t - 1 for the t >= 1 components of g[w] that nb meets.
+      t = 1 with no search when g[w] or g[nb] is connected (dim H_0 = 0);
+      else t = c(w) - c(w - U), U the union of those components, which one
+      reachability sweep from nb finds, and c(y) = dim H_0(y) + 1 for y != {};
+    - rank i_k is 0 when H_k(nb) or H_k(w) is 0.
+
+    A conflict, some k >= 1 with both nonzero, is a cone on v when nb = w,
+    with no homology.  Any other conflict ranks Delta|_x from scratch on the
+    clique complex's FaceColumns, built at the first one: faces of size >= 3
+    only, as rank d_2 is |x| less the components of g[x].  dims[x] packs
+    dim H_{j-1}(x) in field j of 2n + 1 bits, as the walk does, so with
+    R = (t - 1) << (2n + 1) the recurrence is one packed expression,
+    dims[w] - R + ((dims[nb] - R) << (2n + 1)), and every x adds dims[x] to
+    the accumulator for its size.  The list holds 2^n ints while the table
+    is built.
+
+    The table does not depend on the labels, so the recurrence runs on g
+    relabelled in a smallest-last degeneracy order (Matula-Beck, J. ACM 30,
+    1983): a least-degree vertex of what is left, the lowest on ties, takes
+    the highest free label.  The top vertex of x then has few neighbours in
+    x, and far fewer subsets conflict.
     """
     guard_subset_scan(g.n, allow_large)
-    label, left = [0] * g.n, g.full_mask
-    for free in range(g.n - 1, -1, -1):
+    n = g.n
+    label, left = [0] * n, g.full_mask
+    for free in range(n - 1, -1, -1):
         v = min(bits(left), key=lambda u: (g.adj[u] & left).bit_count())
         label[v], left = free, left ^ 1 << v
-    h = Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])
-    return _hochster_table(clique_complex(h), edge_ideal(h.complement()).support_masks(), field)
+    h = Graph.from_edges(n, [(label[u], label[v]) for u, v in g.edges()])
+    adj = h.adj
+    width = 2 * n + 1
+    field_mask = (1 << width) - 1
+    h0_field = field_mask << width  # dim H_0
+    above = 1 << 2 * width  # packed dims at least this have some dim H_k != 0, k >= 1
+    # lows + dims sets the top bit of each field >= 2 that is nonzero (a field is below 2^n)
+    lows = sum(field_mask >> 1 << j * width for j in range(2, n + 2))
+    tops = sum(1 << (j + 1) * width - 1 for j in range(2, n + 2))
+    faces = None
+    acc = [0] * (n + 1)  # acc[j], field k: beta_{j-k,j}
+
+    def from_scratch(x: int, xd: int) -> int:
+        """Packed dims of x from its faces: fields 0 and 1 as in xd, ranks of faces of size >= 3."""
+        nonlocal faces
+        if faces is None:
+            faces = FaceColumns(clique_complex(h).faces_by_size(), field)
+        outside, size = ~x, x.bit_count()
+        edges = sum(1 for e in faces.by_size[2] if e & outside == 0)
+        f = 1 + (size << width) + (edges << 2 * width)
+        r = (1 << width) + (size - 1 - (xd >> width & field_mask) << 2 * width)
+        for k in range(3, len(faces.by_size)):
+            new = [col for face, col in faces.columns(k).items() if face & outside == 0]
+            if not new:
+                break  # a size-(k+1) face in x contains a size-k one
+            f += len(new) << k * width
+            r += boundary_rank(new, field) << k * width
+        return f - r - (r >> width)
+
+    dims = [1]  # the empty set: dim H_{-1} = 1
+    append = dims.append
+    for v in range(n):
+        near = adj[v]
+        append(0)  # x = {v}: w = nb = {}, and i_{-1} is onto
+        for w in range(1, 1 << v):
+            nb = w & near
+            wd = dims[w]
+            nd = dims[nb]
+            xd = wd + (nd << width)
+            if nd & h0_field and wd & h0_field:
+                # g[nb] and g[w] are disconnected, so nb may meet t > 1 components of g[w]:
+                # t = c(w) - c(w - reach), reach the union of the components nb meets
+                reach = frontier = nb
+                while frontier:
+                    grow = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        grow |= adj[low.bit_length() - 1]
+                        frontier ^= low
+                    frontier = grow & w & ~reach
+                    reach |= frontier
+                rest = w ^ reach
+                t = (wd >> width & field_mask) + 1 - ((dims[rest] >> width & field_mask) + 1 if rest else 0)
+                xd -= (t - 1 << width) * (1 + (1 << width))
+            if wd >= above and nd >= above and (wd + lows) & (nd + lows) & tops:
+                xd = 0 if nb == w else from_scratch(w | 1 << v, xd)
+            append(xd)
+            if xd:
+                acc[w.bit_count() + 1] += xd
+    return _unpack(n, acc, width)
 
 
 def _depth_scan(faces: FaceColumns, complexes) -> tuple[int, tuple]:
