@@ -22,14 +22,19 @@ F - G_a for the facets F of Delta containing G_a with sum_{j not in F} a_j
 T = H + G_a.
 
 Graph tables, where Delta = Delta(G) is flag, come from a recurrence over
-the vertex subsets in increasing order.  With v the top vertex of x and
-w = x - v, Delta|_x is Delta|_w glued along the link Delta|_{w & N(v)} to a
-cone, so the reduced Mayer-Vietoris sequence gives x's reduced homology
-from that of w and of w & N(v), two smaller subsets, and the ranks of the
-maps between them.  Those ranks are counts, except at a conflict, a subset
-where both have homology in one degree k >= 1; only a conflict takes ranks,
-from scratch on the clique complex.  The recurrence holds a list of 2^n
-packed dimensions while it builds one table.
+the vertex subsets, one block per top vertex.  With v the top vertex of x
+and w = x - v, Delta|_x is Delta|_w glued along the link Delta|_{w & N(v)}
+to a cone, so the reduced Mayer-Vietoris sequence gives x's reduced
+homology from that of w and of w & N(v), two smaller subsets, and the ranks
+of the maps between them.  The w with one link s form a coset s + 2^R, R
+the vertices below v off N(v); where s spans an acyclic link, gluing
+changes nothing, so v's block starts as a copy of the blocks below it and
+only the cosets of links with homology are visited.  Their ranks are
+counts, except at a conflict, a subset where both have homology in one
+degree k >= 1, which is ranked on its strong-collapse core.  The sums per
+subset size are counted per coset, not summed per subset, and the last
+block, read by nothing, is not stored: the recurrence holds a list of
+2^(n-1) packed dimensions while it builds one table.
 
 The tables of other complexes (graded_betti_table, which the tests also use
 to check graph tables) come from the Hochster walk, which visits the vertex
@@ -65,6 +70,7 @@ it per table.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -298,6 +304,40 @@ def graded_betti_table(c: SimplicialComplex, field: FieldSpec = GF2, *,
     return _hochster_table(c, stanley_reisner_ideal(c).support_masks(), field)
 
 
+def _submasks(mask: int) -> list[int]:
+    """Every submask of mask, ascending."""
+    out = [0]
+    while mask:
+        low = mask & -mask
+        out += [r | low for r in out]
+        mask ^= low
+    return out
+
+
+def _strong_core(x: int, closed: Sequence[int]) -> int:
+    """x less vertices dominated in the graph on x, one at a time, until none is.
+
+    closed[u] is u's closed neighbourhood.  u is dominated iff the closed
+    neighbourhoods of u's closed neighbours in the core meet in more than u;
+    a deletion can make only the deleted vertex's neighbours dominated, so
+    only they are tested again.
+    """
+    core = todo = x
+    while todo:
+        u = todo & -todo
+        todo ^= u
+        near = closed[u.bit_length() - 1] & core
+        common, rest = near, near ^ u
+        while rest and common != u:
+            y = rest & -rest
+            common &= closed[y.bit_length() - 1]
+            rest ^= y
+        if common != u:
+            core ^= u
+            todo |= near & core
+    return core
+
+
 def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> BettiTable:
     """Betti table of S/I(G^c) by a Mayer-Vietoris recurrence over the vertex subsets of g.
 
@@ -316,47 +356,71 @@ def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = F
       reachability sweep from nb finds, and c(y) = dim H_0(y) + 1 for y != {};
     - rank i_k is 0 when H_k(nb) or H_k(w) is 0.
 
+    dims[x] packs dim H_{j-1}(x) in field j of 2n + 1 bits, as the walk
+    does, so with R = (t - 1) << (2n + 1) the recurrence is one packed
+    expression, dims[w] - R + ((dims[nb] - R) << (2n + 1)).  Block v holds
+    dims[w + v] for w below v.  With L = N(v) below v and the rest below v
+    off L, w = s + r for s = nb inside L and r inside the rest:
+
+    - where dims[s] = 0 the link is acyclic and dims[x] = dims[w], so the
+      block starts as a copy of dims[:2^v];
+    - s = {} adds 1 to dim H_0 (v is isolated in x), with no checks;
+    - any other s with dims[s] != 0 has its coset visited, and only its w
+      with a disconnected g[w] or some H_k(w) != 0, k >= 1, can take a rank.
+
     A conflict, some k >= 1 with both nonzero, is a cone on v when nb = w,
-    with no homology.  Any other conflict ranks Delta|_x from scratch on the
-    clique complex's FaceColumns, built at the first one: faces of size >= 3
-    only, as rank d_2 is |x| less the components of g[x].  dims[x] packs
-    dim H_{j-1}(x) in field j of 2n + 1 bits, as the walk does, so with
-    R = (t - 1) << (2n + 1) the recurrence is one packed expression,
-    dims[w] - R + ((dims[nb] - R) << (2n + 1)), and every x adds dims[x] to
-    the accumulator for its size.  The list holds 2^n ints while the table
-    is built.
+    with no homology.  Any other conflict strips dominated vertices from x
+    one at a time (a strong collapse, which keeps reduced homology over
+    every field: Barmak-Minian, DCG 47, 2012).  A one-vertex core is
+    acyclic; any other is ranked on the clique complex's FaceColumns, built
+    at the first one: faces of size >= 3 only, as rank d_2 is |core| less
+    the components of g[core].
+
+    acc[j] sums dims[x] over |x| = j.  Block v adds to acc[j + 1] the old
+    acc[j], plus (sum_k links_k C(|rest|, j - k)) << (2n + 1) for
+    links_k = sum of dims[s] over |s| = k, plus the ranks' fixes over
+    |w| = j, so only the visited w cost a step.  Nothing reads the last
+    block, which is not stored: the list holds 2^(n-1) ints while the
+    table is built.
 
     The table does not depend on the labels, so the recurrence runs on g
     relabelled in a smallest-last degeneracy order (Matula-Beck, J. ACM 30,
     1983): a least-degree vertex of what is left, the lowest on ties, takes
     the highest free label.  The top vertex of x then has few neighbours in
-    x, and far fewer subsets conflict.
+    x, so its cosets are few and large, and far fewer subsets conflict.
     """
     guard_subset_scan(g.n, allow_large)
     n = g.n
-    label, left = [0] * n, g.full_mask
+    degree = [row.bit_count() for row in g.adj]  # in g less the labelled vertices
+    left, label = list(range(n)), [0] * n
     for free in range(n - 1, -1, -1):
-        v = min(bits(left), key=lambda u: (g.adj[u] & left).bit_count())
-        label[v], left = free, left ^ 1 << v
-    h = Graph.from_edges(n, [(label[u], label[v]) for u, v in g.edges()])
-    adj = h.adj
+        v = min(left, key=degree.__getitem__)
+        left.remove(v)
+        label[v] = free
+        for u in left:
+            degree[u] -= g.adj[v] >> u & 1
+    adj = [0] * n
+    for u, row in enumerate(g.adj):
+        adj[label[u]] = sum(1 << label[w] for w in bits(row))
+    closed = [adj[u] | 1 << u for u in range(n)]
     width = 2 * n + 1
     field_mask = (1 << width) - 1
     h0_field = field_mask << width  # dim H_0
+    one_h0 = 1 << width
     above = 1 << 2 * width  # packed dims at least this have some dim H_k != 0, k >= 1
     # lows + dims sets the top bit of each field >= 2 that is nonzero (a field is below 2^n)
     lows = sum(field_mask >> 1 << j * width for j in range(2, n + 2))
     tops = sum(1 << (j + 1) * width - 1 for j in range(2, n + 2))
     faces = None
-    acc = [0] * (n + 1)  # acc[j], field k: beta_{j-k,j}
+    acc = [1] + [0] * n  # acc[j]: the sum of dims[x] over the subsets x of size j so far
 
     def from_scratch(x: int, xd: int) -> int:
         """Packed dims of x from its faces: fields 0 and 1 as in xd, ranks of faces of size >= 3."""
         nonlocal faces
         if faces is None:
-            faces = FaceColumns(clique_complex(h).faces_by_size(), field)
+            faces = FaceColumns(clique_complex(Graph(n, tuple(adj))).faces_by_size(), field)
         outside, size = ~x, x.bit_count()
-        edges = sum(1 for e in faces.by_size[2] if e & outside == 0)
+        edges = sum((adj[u] & x).bit_count() for u in bits(x)) >> 1
         f = 1 + (size << width) + (edges << 2 * width)
         r = (1 << width) + (size - 1 - (xd >> width & field_mask) << 2 * width)
         for k in range(3, len(faces.by_size)):
@@ -368,35 +432,77 @@ def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = F
         return f - r - (r >> width)
 
     dims = [1]  # the empty set: dim H_{-1} = 1
-    append = dims.append
     for v in range(n):
-        near = adj[v]
-        append(0)  # x = {v}: w = nb = {}, and i_{-1} is onto
-        for w in range(1, 1 << v):
-            nb = w & near
-            wd = dims[w]
-            nd = dims[nb]
-            xd = wd + (nd << width)
-            if nd & h0_field and wd & h0_field:
-                # g[nb] and g[w] are disconnected, so nb may meet t > 1 components of g[w]:
-                # t = c(w) - c(w - reach), reach the union of the components nb meets
-                reach = frontier = nb
-                while frontier:
-                    grow = 0
-                    while frontier:
-                        low = frontier & -frontier
-                        grow |= adj[low.bit_length() - 1]
-                        frontier ^= low
-                    frontier = grow & w & ~reach
-                    reach |= frontier
-                rest = w ^ reach
-                t = (wd >> width & field_mask) + 1 - ((dims[rest] >> width & field_mask) + 1 if rest else 0)
-                xd -= (t - 1 << width) * (1 + (1 << width))
-            if wd >= above and nd >= above and (wd + lows) & (nd + lows) & tops:
-                xd = 0 if nb == w else from_scratch(w | 1 << v, xd)
-            append(xd)
-            if xd:
-                acc[w.bit_count() + 1] += xd
+        base = 1 << v
+        link = adj[v] & base - 1
+        rest = base - 1 ^ link
+        stored = v < n - 1  # the last block is only summed
+        if stored:
+            dims *= 2  # block v starts as dims[w] at x = w + v
+        subs = _submasks(rest) if stored else None  # the last block may need none
+        links = [0] * (link.bit_count() + 1)  # links[k]: the sum of dims[s] over s inside link, |s| = k
+        fix = [0] * (v + 1)  # fix[j]: the sum of dims[x] - dims[w] over |w| = j
+        s = 0
+        while True:
+            nd = dims[s]
+            if s == 0:
+                links[0] = 1
+                fix[0] = -1 - one_h0  # x = {v}: w = nb = {}, and i_{-1} is onto
+                if stored:
+                    for r in subs:
+                        dims[base | r] += one_h0  # v is isolated in x
+                    dims[base] = 0
+            elif nd:
+                links[s.bit_count()] += nd
+                if subs is None:
+                    subs = _submasks(rest)
+                top, shifted = base | s, nd << width
+                if stored:
+                    for r in subs:
+                        dims[top | r] += shifted
+                nd_h0 = nd & h0_field
+                nd_high = (nd + lows) & tops
+                # only a disconnected g[w] or some H_k(w) != 0, k >= 1, can take a rank
+                special = (h0_field if nd_h0 else 0) | (-above if nd_high else 0)
+                for r in [r for r in subs if dims[s | r] & special]:
+                    w = s | r
+                    wd = dims[w]
+                    xd = wd + shifted
+                    if nd_h0 and wd & h0_field:
+                        # g[nb] and g[w] are disconnected, so nb may meet t > 1 components of g[w]:
+                        # t = c(w) - c(w - reach), reach the union of the components nb meets
+                        reach = frontier = s
+                        while frontier:
+                            grow = 0
+                            while frontier:
+                                low = frontier & -frontier
+                                grow |= adj[low.bit_length() - 1]
+                                frontier ^= low
+                            frontier = grow & w & ~reach
+                            reach |= frontier
+                        apart = w ^ reach
+                        t = (wd >> width & field_mask) + 1 - ((dims[apart] >> width & field_mask) + 1 if apart else 0)
+                        xd -= (t - 1 << width) * (1 + one_h0)
+                    if (wd + lows) & nd_high:
+                        if r == 0:
+                            xd = 0  # nb = w: x is a cone on v
+                        else:
+                            core = _strong_core(w | base, closed)
+                            xd = from_scratch(core, xd) if core & core - 1 else 0
+                    if xd != wd + shifted:  # the ranks' part; the links' part is counted below
+                        fix[w.bit_count()] += xd - wd - shifted
+                        if stored:
+                            dims[top | r] = xd
+            s = (s - link) & link
+            if not s:
+                break
+        m = rest.bit_count()
+        for k, total in enumerate(links):
+            if total:  # C(m, j - k) of the w with |w| = j have a link s of size k
+                for i in range(m + 1):
+                    fix[k + i] += math.comb(m, i) * total << width
+        for j in range(v, -1, -1):
+            acc[j + 1] += acc[j] + fix[j]
     return _unpack(n, acc, width)
 
 

@@ -30,7 +30,7 @@ from srdepth.complexes import (
     complex_from_squarefree_ideal,
     stanley_reisner_ideal,
 )
-from srdepth.graphs import Graph, GuardError, is_chordal, mask_of, vertex_connectivity
+from srdepth.graphs import Graph, GuardError, bits, is_chordal, mask_of, vertex_connectivity
 from srdepth.homology import GF2, GF3, RATIONAL, FieldSpec
 from srdepth.monomials import MonomialIdeal, edge_ideal, minimalize, parse_ideal, polarize
 from srdepth.verify import construct_example, random_chordal_graph
@@ -257,6 +257,19 @@ def _record_walk(monkeypatch) -> tuple[list, list]:
     return built, reduced
 
 
+def _record_cores(monkeypatch) -> list[tuple[int, list[int], int]]:
+    """Record (x, closed neighbourhoods, core) for every strong-collapse core a table takes."""
+    cores, strong_core = [], betti._strong_core
+
+    def recording_core(x, closed):
+        core = strong_core(x, closed)
+        cores.append((x, closed, core))
+        return core
+
+    monkeypatch.setattr(betti, "_strong_core", recording_core)
+    return cores
+
+
 def _columns_on(faces: homology.FaceColumns, u: int) -> set[int]:
     """The ids of the columns of u's faces of size >= 3, the only sizes the walk ranks."""
     return {id(col) for k in range(3, len(faces.by_size)) for f, col in faces.columns(k).items() if f >> u & 1}
@@ -469,6 +482,13 @@ def cross_polytope(m: int) -> Graph:
     return g
 
 
+# a G(9, 0.7), the first random graph of a seeded search whose table ranks a
+# conflict: its strong-collapse core keeps faces of size 3
+RANKED_CONFLICT = Graph.from_edges(9, [
+    (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2), (1, 4), (1, 5), (1, 6), (1, 8), (2, 3),
+    (2, 4), (2, 5), (2, 8), (3, 4), (3, 5), (3, 6), (3, 7), (4, 6), (4, 7), (5, 7), (6, 7), (6, 8), (7, 8)])
+
+
 @st.composite
 def recurrence_graphs(draw):
     """Random graphs, cross-polytopes and joins of two random graphs, at n <= 10."""
@@ -508,14 +528,48 @@ class TestMayerVietoris:
         # Delta is the 2-sphere.  For a pentagon vertex v with neighbours a
         # and b, and one more pentagon vertex c, w = {poles, a, b, c} and
         # nb = {poles, a, b} both span circles, and i_1 maps the one onto the
-        # other: with v on top, a conflict that no count resolves, so it is
-        # ranked from scratch, on faces of size >= 3 only, with the columns
-        # built once
+        # other: with v on top, a conflict that no count resolves.  But
+        # Delta|_x is a disc, which strong collapses take to one vertex, so
+        # the conflict's ranks are all 0, with no column reduced and no
+        # complex built
         g = join(construct_example("cycle", t=5), Graph.from_edges(2, []))
         built, reduced = _record_walk(monkeypatch)
+        cores = _record_cores(monkeypatch)
         assert graph_betti_table(g, field).entries == oracle_betti_table(g)
+        assert cores and all(core.bit_count() == 1 for _, _, core in cores)
+        assert not built and not reduced
+
+    @pytest.fixture(scope="class")
+    def ranked_conflict_oracle(self):
+        return oracle_betti_table(RANKED_CONFLICT)
+
+    @FOUR_FIELDS
+    def test_conflict_core_ranks_its_faces(self, monkeypatch, field, ranked_conflict_oracle):
+        # some conflict's strong-collapse core has faces of size 3, so it is
+        # ranked there, on faces of size >= 3 only, with the columns built once
+        built, reduced = _record_walk(monkeypatch)
+        cores = _record_cores(monkeypatch)
+        assert graph_betti_table(RANKED_CONFLICT, field).entries == ranked_conflict_oracle
         assert len(built) == 1 and reduced
         assert min(_column_support(col) for col in reduced) == 3
+        # each core lies in its subset, some core is a proper part of it, and
+        # no vertex of a core is dominated there (tested pair by pair)
+        ranked = [(x, closed, core) for x, closed, core in cores if core.bit_count() > 1]
+        assert ranked and any(core != x for x, _, core in ranked)
+        for x, closed, core in ranked:
+            assert core & ~x == 0
+            for u, other in itertools.permutations(bits(core), 2):
+                assert closed[u] & core & ~closed[other]
+
+    @pytest.mark.parametrize("field", [GF2, GF3], ids=["GF2", "GF3"])
+    def test_matches_walk_at_benchmark_sizes(self, field):
+        # n = 11-12 at the fuzz probabilities: larger cosets than the
+        # Hypothesis property reaches, and the unstored last block
+        rng = random.Random(23)
+        for n in (11, 12):
+            for p in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
+                g = random_graph(rng, n, p)
+                assert graph_betti_table(g, field) == graded_betti_table(clique_complex(g), field), (n, p)
 
 
 def join_universal(g: Graph, u: int) -> Graph:
