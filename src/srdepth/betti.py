@@ -9,9 +9,7 @@ G_a = {j : a_j < 0}; for a squarefree I, Delta_a is the link of G_a.
 One scan computes every depth: G_a runs over faces by size, a caller yields
 the degree complexes Delta_a for each, and the scan skips a Delta_a whose
 faces, truncated to the degrees that could lower the depth, form a cone
-over one of its vertices.  The Hochster walk has its own cone test on
-covers: a vertex that lies in no minimal non-face inside W makes
-Delta|_W a cone.
+over one of its vertices.
 
 The depths of S/I^(2) and S/I^2 for I = I(G^c) are read off Delta = Delta(G)
 itself, with no ideal built (Minh-Trung, "Cohen-Macaulayness of monomial
@@ -37,34 +35,8 @@ block, read by nothing, is not stored: the recurrence holds a list of
 2^(n-1) packed dimensions while it builds one table.
 
 The tables of other complexes (graded_betti_table, which the tests also use
-to check graph tables) come from the Hochster walk, which visits the vertex
-subsets depth first, each W's children
-being W + {v} for v above W's top vertex.  Delta|_{W+v} adds to Delta|_W just
-the faces whose top vertex is v, and W + v adds to W just the minimal
-non-faces whose top vertex is v, so a child extends its parent's face counts,
-1-skeleton components, echelon forms for faces of size >= 3 and cover test by
-those alone.  The counts f_k and ranks r_k travel packed in one int each, so
-a node copies two ints where it copied two lists, and one subtraction gives
-every dim H_{k-1} = f_k - r_k - r_{k+1}.  A kept W adds that difference to
-one packed accumulator for its size |W|, unpacked into the table once the
-walk ends.  The edges' boundary map needs no
-echelon form: over every field its rank is the number of vertices less the
-number of components of the 1-skeleton (the H_0 that also bounds depth by
-kappa + 1).  A child's subtree is walked only if each vertex it leaves
-uncovered lies in a minimal non-face inside W + v plus the vertices above v.
-The prune is exact: adding those non-faces to W + v gives a subset in the
-subtree that passes.  Two-vertex non-faces, all of them for a flag complex,
-enter the cover test as masks of partners and the prune as one mask per v:
-the vertices with a partner above v, which an uncovered vertex needs.
-
-On a flag complex a vertex v dominated by u in Delta|_W (N[v] & W inside
-N[u]) can be deleted by a strong collapse, which keeps reduced homology over
-every field (Barmak-Minian, "Strong homotopy types, nerves and collapses",
-DCG 47, 2012).  The walk folds only the leaves W + v with v the last vertex:
-such a leaf reads its parent's counts and ranks nothing, while an inner node
-would still have to build the echelon forms its children extend.  Whether
-a leaf folds depends only on the neighbours of v in W, so the walk memoises
-it per table.
+to check graph tables) are the plain Hochster sum, over the subsets W that
+the minimal non-faces inside W cover: any other Delta|_W is a cone.
 """
 
 from __future__ import annotations
@@ -151,138 +123,6 @@ def guard_polarized_scan(m: int, allow_large: bool) -> None:
             f"polarized ring has {m} variables, over the {POLARIZED_SCAN_LIMIT} limit; override to force")
 
 
-def _pair_masks(n: int, pairs) -> list[int]:
-    """out[u]: the vertices v with {u, v} among the two-vertex masks in pairs."""
-    out = [0] * n
-    for m in pairs:
-        low = m & -m
-        out[low.bit_length() - 1] |= m ^ low
-        out[m.bit_length() - 1] |= low
-    return out
-
-
-def _hochster_table(c: SimplicialComplex, gen_masks: list[int], field: FieldSpec) -> BettiTable:
-    """Betti table of K[c] by a depth-first walk over vertex subsets; gen_masks are c's minimal non-faces.
-
-    The children of w are w | {v} for v above w's top vertex.  A child
-    extends w's face counts, ranks, 1-skeleton components, per-size pivots
-    and cover (the union of the generators inside w) by the faces and
-    generators inside it whose top vertex is v.  Its edges to w merge the
-    components they touch, and the rank of the edges' boundary map is the
-    number of vertices less the number of components, over every field, so
-    only faces of size >= 3 extend echelon forms, and only a child that has
-    such faces copies the pivot dicts.  It passes the cover test iff its
-    cover is all of it.  Its subtree is walked only if each vertex it leaves
-    uncovered lies in a generator inside it plus the vertices above v, which
-    is exactly when adding those generators gives a subset that passes.
-
-    - The counts f_k and ranks r_k are one int each, with f_k in bits
-      k * width up to (k + 1) * width.  So f - r - (r >> width) holds every
-      dim H_{k-1} = f_k - r_k - r_{k+1} with no borrow between fields, as
-      each is >= 0; a field below the least generator size less one reads 0
-      by itself.  A kept x adds it to acc[|x|], whose field k sums
-      beta_{|x|-k,|x|}: fewer than 2^n dims, each at most C(n, k) < 2^n.
-      So width = 2n + 1 bits holds every field, and acc is unpacked into
-      the table once, after the walk.
-    - Two-vertex generators are bitmasks: the partners of v below v enter
-      the cover.  An uncovered u of x has no partner in x, so it passes the
-      prune's pair test iff it lies in high[v], the vertices with a partner
-      above v; only the others are tested against the larger generators.
-      Larger and one-vertex generators are listed by top vertex and by
-      vertex.
-    - When every generator has at most two vertices, c is the clique complex
-      of its 1-skeleton (plus ghost vertices).  Then a leaf x = w + v,
-      v = n - 1, whose v some u dominates in it (N[v] & x inside N[u])
-      strong-collapses onto c|w: it reads w's counts and filters and ranks
-      nothing.  Domination depends only on nb = w & N(v), so the answers
-      are kept per table by nb, at most 2^deg(v) of them.  A leaf calls no
-      walk, as it has no children.
-    """
-    n = c.n
-    by_size = c.faces_by_size()
-    faces = FaceColumns(by_size, field)
-    top = len(by_size)
-    # by_top[v][k - 3]: (face, column) of the size-k faces whose top vertex is v, k >= 3
-    by_top: list[list[list]] = [[[] for _ in range(3, top)] for _ in range(n)]
-    for k in range(3, top):
-        for f, col in faces.columns(k).items():
-            by_top[f.bit_length() - 1][k - 3].append((f, col))
-    vertices = mask_of(f.bit_length() - 1 for f in by_size[1]) if top > 1 else 0
-    nbr = _pair_masks(n, by_size[2] if top > 2 else ())  # nbr[v]: the vertices that share an edge with v
-    partners = _pair_masks(n, [gm for gm in gen_masks if gm.bit_count() == 2])
-    others = [gm for gm in gen_masks if gm.bit_count() != 2]
-    others_by_top = [[gm for gm in others if gm.bit_length() == v + 1] for v in range(n)]
-    others_at = [[gm for gm in others if gm >> u & 1] for u in range(n)]  # the other generators holding u
-    # high[v]: the vertices with a two-vertex partner above v
-    high = [mask_of(u for u in range(n) if partners[u] >> v + 1) for v in range(n)]
-    flag = all(gm.bit_count() <= 2 for gm in gen_masks)
-    last = n - 1
-    dominated: dict[int, bool] = {}  # w & nbr[last] -> some u dominates last in x
-    width = 2 * n + 1
-    acc = [0] * (n + 1)  # acc[j], field k: beta_{j-k,j}
-
-    def walk(w: int, cover: int, f: int, r: int, comps: list[int], pivots: list[dict]) -> None:
-        for v in range(w.bit_length(), n):
-            x = w | 1 << v
-            outside = ~x
-            cx = cover
-            pair = w & partners[v]
-            if pair:
-                cx |= pair | 1 << v
-            for gm in others_by_top[v]:
-                if gm & outside == 0:
-                    cx |= gm
-            # an uncovered u has no partner in x, so it has one above v iff u is in high[v]
-            stuck = x & ~cx & ~high[v]
-            if stuck:
-                missing = (2 << v) - 1 & outside  # outside every subset in x's subtree
-                if any(all(gm & missing for gm in others_at[u]) for u in bits(stuck)):
-                    continue
-            nb = w & nbr[v]
-            if v == last and flag:
-                fold = dominated.get(nb)
-                if fold is None:
-                    fold = dominated[nb] = any(nb & ~nbr[u] == 1 << u for u in bits(nb))
-                if fold:
-                    # a dominated leaf: with nothing above v, a leaf that fails the cover test was pruned
-                    acc[x.bit_count()] += f - r - (r >> width)
-                    continue
-            fx, rx, kx, px = f, r, comps, pivots
-            if vertices >> v & 1:
-                # every vertex maps onto the empty face, so d_1 has rank 1
-                fx += 1 << width
-                rx |= 1 << width
-                if nb:
-                    merged, kx = 1 << v, []
-                    for comp in comps:
-                        if comp & nb:
-                            merged |= comp
-                        else:
-                            kx.append(comp)
-                    kx.append(merged)
-                    # r_2 = f_1 - #components: v joins the components it touches into one
-                    fx += nb.bit_count() << 2 * width
-                    rx += len(comps) - len(kx) + 1 << 2 * width
-                    for k, group in enumerate(by_top[v], 3):
-                        new = [col for face, col in group if face & outside == 0]
-                        if not new:
-                            break  # a size-(k+1) face with top v contains a size-k one
-                        if px is pivots:
-                            px = pivots[:]
-                        px[k] = dict(pivots[k])
-                        fx += len(new) << k * width
-                        rx += boundary_rank(new, field, px[k]) << k * width
-                else:
-                    kx = comps + [1 << v]  # a new component: rank d_2 is unchanged
-            if cx == x:
-                acc[x.bit_count()] += fx - rx - (rx >> width)  # field k: dim H_{k-1}
-            if v != last:
-                walk(x, cx, fx, rx, kx, px)
-
-    walk(0, 0, 1, 0, [], [{} for _ in range(top)])
-    return _unpack(n, acc, width)
-
-
 def _unpack(n: int, acc: list[int], width: int) -> BettiTable:
     """The table whose beta_{j-k,j} is field k, of the given width, of acc[j]; beta_{0,0} = 1."""
     field_mask = (1 << width) - 1
@@ -297,11 +137,36 @@ def _unpack(n: int, acc: list[int], width: int) -> BettiTable:
 
 def graded_betti_table(c: SimplicialComplex, field: FieldSpec = GF2, *,
                        allow_large: bool = False) -> BettiTable:
-    """Exact Betti table by scanning every vertex subset."""
+    """Exact Betti table by Hochster's formula, summed over every vertex subset W.
+
+    A vertex of W in no minimal non-face inside W makes Delta|_W a cone, with
+    no reduced homology, so only the W those non-faces cover are ranked, each
+    on the columns of its own faces.
+    """
     if c.is_void:
         raise ValueError("the void complex has no Betti table")
     guard_subset_scan(c.n, allow_large)
-    return _hochster_table(c, stanley_reisner_ideal(c).support_masks(), field)
+    gen_masks = stanley_reisner_ideal(c).support_masks()
+    faces = FaceColumns(c.faces_by_size(), field)
+    entries: dict[tuple[int, int], int] = {}
+    for w in range(1 << c.n):
+        outside, cover = ~w, 0
+        for gm in gen_masks:
+            if gm & outside == 0:
+                cover |= gm
+        if cover != w:
+            continue
+        columns = []
+        for k in range(len(faces.by_size)):
+            group = [col for f, col in faces.columns(k).items() if f & outside == 0]
+            if not group:
+                break  # a size-(k+1) face inside w contains a size-k one
+            columns.append(group)
+        j = w.bit_count()
+        for ell, d in betti_from_sizes(columns, field).items():
+            key = (j - ell - 1, j)
+            entries[key] = entries.get(key, 0) + d
+    return BettiTable(c.n, entries)
 
 
 def _submasks(mask: int) -> list[int]:
@@ -356,9 +221,9 @@ def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = F
       reachability sweep from nb finds, and c(y) = dim H_0(y) + 1 for y != {};
     - rank i_k is 0 when H_k(nb) or H_k(w) is 0.
 
-    dims[x] packs dim H_{j-1}(x) in field j of 2n + 1 bits, as the walk
-    does, so with R = (t - 1) << (2n + 1) the recurrence is one packed
-    expression, dims[w] - R + ((dims[nb] - R) << (2n + 1)).  Block v holds
+    dims[x] packs dim H_{j-1}(x) in field j of 2n + 1 bits, so with
+    R = (t - 1) << (2n + 1) the recurrence is one packed expression,
+    dims[w] - R + ((dims[nb] - R) << (2n + 1)).  Block v holds
     dims[w + v] for w below v.  With L = N(v) below v and the rest below v
     off L, w = s + r for s = nb inside L and r inside the rest:
 
@@ -657,20 +522,12 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
         edge[s] = edge[r] or nb != 0
         matched[s] = matched[r] or any(edge[r & ~(1 << u)] for u in bits(nb))
 
-    def subsets(mask: int):
-        sub = mask
-        while True:
-            yield sub
-            if not sub:
-                return
-            sub = sub - 1 & mask
-
     def symbolic(ga: int, kmax: int):
         star = [f for f in facets if f & ga == ga]
         supports = set()  # the subsets of each F - G_a, plus at most one vertex off F
         for f in star:
             extras = [0, *(1 << v for v in bits(full & ~f))]
-            supports.update(sub | e for sub in subsets(f ^ ga) for e in extras)
+            supports.update(sub | e for sub in _submasks(f ^ ga) for e in extras)
         seen = set()
         for a in sorted(supports, key=int.bit_count):
             family = tuple(f ^ ga for f in star if (a & ~f).bit_count() <= 1)
@@ -682,7 +539,7 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
                 common &= s
             if common:
                 continue  # a cone
-            yield a, {sub for s in family for sub in subsets(s)}
+            yield a, {sub for s in family for sub in _submasks(s)}
 
     def square(ga: int, kmax: int):
         # the neighbours of G_a in G^c lie in N for every T, so A holds at
@@ -726,8 +583,8 @@ def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = Fal
     graph.  The 1-skeleton of the clique complex is g, and d_1 maps each
     vertex onto the empty face, so it has rank 1: with k = |X|, dim H_0 =
     (n - k) - 1 - rank d_2, where d_2 is the boundary map of the edges
-    disjoint from X.  It ranks those edge columns on purpose, where the
-    Hochster walk counts components: verify compares it with flow kappa, and
+    disjoint from X.  It ranks those edge columns on purpose, where
+    graph_betti_table counts components: verify compares it with flow kappa, and
     a component count would make it the brute-force separator test over
     again.  ``graphs.min_separator`` picks the sets X: down from a least-degree
     neighbourhood, shrunk to an inclusion-minimal separator, then every set

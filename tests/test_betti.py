@@ -146,7 +146,7 @@ def _column_support(col) -> int:
 
 
 class TestHochsterWalk:
-    """The depth-first subset walk against the sympy Hochster sum."""
+    """graded_betti_table's Hochster sum and graph_betti_table against the sympy Hochster sum."""
 
     @pytest.mark.parametrize("field", [RATIONAL, GF2, GF3, FieldSpec(5)], ids=["QQ", "GF2", "GF3", "GF5"])
     def test_graphs_match_oracle(self, field, oracle_graphs):
@@ -161,64 +161,30 @@ class TestHochsterWalk:
 
     @pytest.mark.parametrize("field", [RATIONAL, GF2, GF3, FieldSpec(5)], ids=["QQ", "GF2", "GF3", "GF5"])
     def test_split_one_skeletons_match_oracle(self, field, split_complexes):
-        # several components, isolated and ghost vertices, no edges at all:
-        # the walk reads rank d_2 off the components of the 1-skeleton
+        # several components, isolated and ghost vertices, no edges at all
         for c, expected in split_complexes:
             assert graded_betti_table(c, field).entries == expected, sorted(c.faces)
 
-    @pytest.mark.parametrize("field", [RATIONAL, GF2, GF3, FieldSpec(5)], ids=["QQ", "GF2", "GF3", "GF5"])
-    def test_walk_never_ranks_an_edge_column(self, monkeypatch, field, split_complexes):
-        # a column has one nonzero row per vertex of its face, so edge columns have two
-        reduced = []
-
-        def recording_rank(columns, field, pivots=None):
-            reduced.extend(_column_support(col) for col in columns)
-            return homology.boundary_rank(columns, field, pivots)
-
-        monkeypatch.setattr(betti, "boundary_rank", recording_rank)
-        rng = random.Random(67)
-        for g in [random_graph(rng, 9, p) for p in (0.3, 0.5, 0.8)]:
-            graded_betti_table(clique_complex(g), field)
-        for c, _ in split_complexes:
-            graded_betti_table(c, field)
-        assert reduced and min(reduced) == 3
-
     def test_kept_subset_below_a_cone(self):
-        # in C4 the parent {0, 1, 2} of the whole vertex set is a cone on 1, yet
-        # the whole set carries beta_{2,4}: the walk must pass through the cone
+        # in C4 the subset {0, 1, 2} is a cone on 1, with no homology, yet the
+        # whole vertex set, one vertex more, carries beta_{2,4}
         for field in (RATIONAL, GF2, GF3):
             assert graph_betti_table(C4, field).entries == oracle_betti_table(C4) == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
 
     @pytest.mark.parametrize("u", [0, 4, 8])
     def test_prune_skips_subsets_on_a_universal_vertex(self, monkeypatch, u):
-        # u is isolated in G^c, so every subset holding u, and every subset in
-        # its subtree, is a cone on u: the walk must never reduce a face on u
+        # u is isolated in G^c, so it lies in no minimal non-face and every
+        # subset holding u is a cone on u: the sum must never rank a face on u
         rng = random.Random(53)
         g = random_graph(rng, 9, 0.5)
         g = Graph.from_edges(9, g.edges() + [tuple(sorted((u, v))) for v in range(9) if v != u])
         expected = oracle_betti_table(g)
-        built, reduced = _record_walk(monkeypatch)
+        built, reduced = _record_ranks(monkeypatch)
         assert graded_betti_table(clique_complex(g), RATIONAL).entries == expected
         (faces,) = built
         on_u = _columns_on(faces, u)
         assert on_u and reduced
         assert not any(id(col) in on_u for col in reduced)
-
-    def test_dominated_leaf_reduces_no_column(self, monkeypatch):
-        # the last vertex v = 8 is joined to the triangle 0, 1, 2 only, so in
-        # a leaf holding one of them, that one dominates v and the leaf
-        # collapses onto its parent; a leaf holding none has no edge on v
-        rng = random.Random(71)
-        g = random_graph(rng, 8, 0.5)
-        g = Graph.from_edges(9, g.edges() + [(0, 1), (0, 2), (1, 2), (0, 8), (1, 8), (2, 8)])
-        expected = oracle_betti_table(g)
-        for field in (RATIONAL, GF2, GF3):
-            built, reduced = _record_walk(monkeypatch)
-            assert graded_betti_table(clique_complex(g), field).entries == expected
-            (faces,) = built
-            on_v = _columns_on(faces, 8)
-            assert on_v and reduced
-            assert not any(id(col) in on_v for col in reduced)
 
     @pytest.mark.parametrize("field", [RATIONAL, GF2, GF3], ids=["QQ", "GF2", "GF3"])
     def test_counts_fill_their_fields(self, field):
@@ -239,8 +205,8 @@ class TestHochsterWalk:
         assert max(expected.values()) == 7 * 3003 == 21021 > 1 << 14
 
 
-def _record_walk(monkeypatch) -> tuple[list, list]:
-    """Record the FaceColumns each table builds and every column it reduces."""
+def _record_ranks(monkeypatch) -> tuple[list, list]:
+    """Record the FaceColumns each table builds and every column it hands to boundary_rank or betti_from_sizes."""
     built, reduced = [], []
 
     class Recording(homology.FaceColumns):
@@ -252,8 +218,13 @@ def _record_walk(monkeypatch) -> tuple[list, list]:
         reduced.extend(columns)
         return homology.boundary_rank(columns, field, pivots)
 
+    def recording_sizes(columns_by_size, *args):
+        reduced.extend(col for group in columns_by_size for col in group)
+        return homology.betti_from_sizes(columns_by_size, *args)
+
     monkeypatch.setattr(betti, "FaceColumns", Recording)
     monkeypatch.setattr(betti, "boundary_rank", recording_rank)
+    monkeypatch.setattr(betti, "betti_from_sizes", recording_sizes)
     return built, reduced
 
 
@@ -271,8 +242,8 @@ def _record_cores(monkeypatch) -> list[tuple[int, list[int], int]]:
 
 
 def _columns_on(faces: homology.FaceColumns, u: int) -> set[int]:
-    """The ids of the columns of u's faces of size >= 3, the only sizes the walk ranks."""
-    return {id(col) for k in range(3, len(faces.by_size)) for f, col in faces.columns(k).items() if f >> u & 1}
+    """The ids of the columns of u's faces."""
+    return {id(col) for k in range(1, len(faces.by_size)) for f, col in faces.columns(k).items() if f >> u & 1}
 
 
 class TestGraphBettiTable:
@@ -452,8 +423,8 @@ def relabelled_graphs(draw, n_max=9):
 
 
 class TestRelabel:
-    # graph_betti_table walks g relabelled in a degeneracy order;
-    # graded_betti_table walks the clique complex in the labels it is given
+    # graph_betti_table runs on g relabelled in a degeneracy order;
+    # graded_betti_table sums over the clique complex in the labels it is given
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(relabelled_graphs())
     def test_table_ignores_labels(self, pair):
@@ -505,7 +476,7 @@ FOUR_FIELDS = pytest.mark.parametrize("field", [RATIONAL, GF2, GF3, FieldSpec(5)
 
 
 class TestMayerVietoris:
-    """graph_betti_table's subset recurrence against the walk and the sympy oracle."""
+    """graph_betti_table's subset recurrence against the plain Hochster sum and the sympy oracle."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(recurrence_graphs())
@@ -533,7 +504,7 @@ class TestMayerVietoris:
         # the conflict's ranks are all 0, with no column reduced and no
         # complex built
         g = join(construct_example("cycle", t=5), Graph.from_edges(2, []))
-        built, reduced = _record_walk(monkeypatch)
+        built, reduced = _record_ranks(monkeypatch)
         cores = _record_cores(monkeypatch)
         assert graph_betti_table(g, field).entries == oracle_betti_table(g)
         assert cores and all(core.bit_count() == 1 for _, _, core in cores)
@@ -547,7 +518,7 @@ class TestMayerVietoris:
     def test_conflict_core_ranks_its_faces(self, monkeypatch, field, ranked_conflict_oracle):
         # some conflict's strong-collapse core has faces of size 3, so it is
         # ranked there, on faces of size >= 3 only, with the columns built once
-        built, reduced = _record_walk(monkeypatch)
+        built, reduced = _record_ranks(monkeypatch)
         cores = _record_cores(monkeypatch)
         assert graph_betti_table(RANKED_CONFLICT, field).entries == ranked_conflict_oracle
         assert len(built) == 1 and reduced
