@@ -32,7 +32,8 @@ counts, except at a conflict, a subset where both have homology in one
 degree k >= 1, which is ranked on its strong-collapse core.  The sums per
 subset size are counted per coset, not summed per subset, and the last
 block, read by nothing, is not stored: the recurrence holds a list of
-2^(n-1) packed dimensions while it builds one table.
+2^(n-1) packed dimensions while it builds one table.  Vertex connectivity
+is read off a graph table's linear strand.
 
 The tables of other complexes (graded_betti_table, which the tests also use
 to check graph tables) are the plain Hochster sum, over the subsets W that
@@ -49,8 +50,8 @@ from typing import Mapping, Sequence
 
 from .complexes import (NONFACE_SCAN_LIMIT, SimplicialComplex, clique_complex, complex_from_squarefree_ideal,
                         guard_face_enumeration, stanley_reisner_ideal)
-from .graphs import Graph, GuardError, bits, mask_of, min_separator
-from .homology import GF2, FaceColumns, FieldSpec, betti_from_sizes, boundary_columns, boundary_rank
+from .graphs import Graph, GuardError, bits, mask_of
+from .homology import GF2, FaceColumns, FieldSpec, betti_from_sizes, boundary_rank
 from .monomials import MonomialIdeal, edge_ideal
 
 SUBSET_SCAN_LIMIT = 14
@@ -575,33 +576,22 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
     return free + _depth_scan(faces, symbolic)[0], free + _depth_scan(faces, square)[0]
 
 
-def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> int:
-    """Vertex connectivity read off Betti vanishing.
+def kappa_from_table(table: BettiTable) -> int:
+    """Vertex connectivity of g from the table of S/I(G^c), g on table.n vertices.
 
-    Least |X| whose removal leaves nonzero degree-0 reduced homology of the
-    clique complex restricted to the other vertices, or n - 1 for a complete
-    graph.  The 1-skeleton of the clique complex is g, and d_1 maps each
-    vertex onto the empty face, so it has rank 1: with k = |X|, dim H_0 =
-    (n - k) - 1 - rank d_2, where d_2 is the boundary map of the edges
-    disjoint from X.  It ranks those edge columns on purpose, where
-    graph_betti_table counts components: verify compares it with flow kappa, and
-    a component count would make it the brute-force separator test over
-    again.  ``graphs.min_separator`` picks the sets X: down from a least-degree
-    neighbourhood, shrunk to an inclusion-minimal separator, then every set
-    one smaller, which is exact because a separator X with |V - X| >= 3
-    extends to one of size |X| + 1.
+    By Hochster's formula beta_{j-1,j} sums c(g[W]) - 1 over |W| = j, so it
+    is nonzero iff some j vertices induce a disconnected graph.  Such a W is
+    what removing the separator V - W leaves, so the largest such j is
+    n - kappa; with none, g is complete and kappa is n - 1.
     """
-    n = g.n
-    if n == 0:
+    return table.n - max((j for i, j in table.entries if j - i == 1), default=1)
+
+
+def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> int:
+    """Vertex connectivity read off the linear strand of graph_betti_table, under its subset guard."""
+    if g.n == 0:
         raise ValueError("vertex connectivity of the empty graph is undefined")
-    guard_subset_scan(n, allow_large)
-    edges = sorted(1 << u | 1 << v for u, v in g.edges())
-    columns = list(zip(edges, boundary_columns(edges, [1 << v for v in range(n)], field.characteristic)))
-
-    def separates(x: int) -> bool:
-        return n - x.bit_count() - 1 - boundary_rank([col for e, col in columns if e & x == 0], field) != 0
-
-    return min_separator(g, separates).kappa
+    return kappa_from_table(graph_betti_table(g, field, allow_large=allow_large))
 
 
 def guard_parsed_ideal(n: int, gens: Sequence[Mapping[int, int]], allow_large: bool) -> None:

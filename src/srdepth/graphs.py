@@ -202,23 +202,6 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
 def vertex_connectivity_bruteforce(g: Graph) -> ConnectivityResult:
     """Oracle: vertex connectivity by testing vertex sets for separation, n <= 16.
 
-    The sets come from ``min_separator``: down from a least-degree
-    neighbourhood, shrunk to a minimal separator, then every set one smaller.
-    That is exact because a separator X with |V - X| >= 3 extends to one of
-    size |X| + 1, and it scans C(n, kappa - 1) sets in full.  The witness is
-    the separator the search stops on, None for a complete g.
-    """
-    if g.n == 0:
-        raise ValueError("vertex connectivity of the empty graph is undefined")
-    if g.n > BRUTE_FORCE_LIMIT:
-        raise GuardError(f"brute-force connectivity limited to n <= {BRUTE_FORCE_LIMIT}")
-    full = g.full_mask
-    return min_separator(g, lambda x: not is_connected(g, full & ~x))
-
-
-def min_separator(g: Graph, separates: Callable[[int], bool]) -> ConnectivityResult:
-    """Vertex connectivity of g, given a test of the sets whose removal disconnects it.
-
     X starts as the neighbourhood N(v) of a least-degree vertex v, which
     separates unless g is complete (kappa = n - 1, no witness).  One pass
     drops each vertex of X in turn if X still separates without it.  From
@@ -227,19 +210,24 @@ def min_separator(g: Graph, separates: Callable[[int], bool]) -> ConnectivityRes
     ``itertools.combinations`` order: a separator found is shrunk in turn, and
     none found makes |X| the connectivity and X the witness.  That is exact:
     if X separates and |V - X| >= 3, some X + u separates, so a size with no
-    separator has none below it, and only the size just below kappa is
-    scanned in full.
+    separator has none below it, and only the C(n, kappa - 1) sets just below
+    kappa are scanned in full.
     """
+    if g.n == 0:
+        raise ValueError("vertex connectivity of the empty graph is undefined")
+    if g.n > BRUTE_FORCE_LIMIT:
+        raise GuardError(f"brute-force connectivity limited to n <= {BRUTE_FORCE_LIMIT}")
+    full = g.full_mask
     x = g.adj[min(range(g.n), key=lambda v: g.adj[v].bit_count())]
     if x.bit_count() == g.n - 1:
         return ConnectivityResult(g.n - 1, None)
     while True:
         for u in bits(x):
-            if separates(x ^ 1 << u):
+            if not is_connected(g, full & ~(x ^ 1 << u)):
                 x ^= 1 << u
         size = x.bit_count()
         below = (mask_of(c) for c in itertools.combinations(range(g.n), size - 1)) if size else ()
-        smaller = next((w for w in below if separates(w)), None)
+        smaller = next((w for w in below if not is_connected(g, full & ~w)), None)
         if smaller is None:
             return ConnectivityResult(size, x)
         x = smaller

@@ -17,13 +17,6 @@ group of faces one vertex smaller.  A subcomplex (the faces inside a vertex
 set, possibly minus those containing given masks) selects its columns as
 they are: every row such a column touches is a face of the subcomplex, so
 no column is rebuilt per subcomplex.
-
-Each kernel can extend a caller's echelon form: given a ``pivots`` dict from
-an earlier call, it reduces the new columns against those pivots, adds one
-pivot per independent column and returns the added rank.  It only adds
-keys, never changes an existing pivot, so the rank of all columns reduced
-into a dict is its length, and a caller that walks nested subcomplexes can
-reduce a larger one's extra columns into a copy of the smaller one's dict.
 """
 
 from __future__ import annotations
@@ -65,55 +58,42 @@ GF3 = FieldSpec(3)
 RATIONAL = FieldSpec(0)
 
 
-def rank_gf2(columns: Sequence[int], pivots: Optional[dict[int, int]] = None) -> int:
-    """Rank of a GF(2) matrix given as integer column bitmasks.
-
-    With ``pivots`` (lowest row bit -> pivot column), the columns extend that
-    echelon form and the added rank is returned.
-    """
-    if pivots is None:
-        pivots = {}
-    rank = 0
+def rank_gf2(columns: Sequence[int]) -> int:
+    """Rank of a GF(2) matrix given as integer column bitmasks."""
+    echelon: dict[int, int] = {}  # lowest row bit -> pivot column
     for v in columns:
         while v:
             low = v & -v
-            p = pivots.get(low)
+            p = echelon.get(low)
             if p is None:
-                pivots[low] = v
-                rank += 1
+                echelon[low] = v
                 break
             v ^= p
-    return rank
+    return len(echelon)
 
 
-def rank_gf3(columns: Sequence[tuple[int, int]],
-             pivots: Optional[dict[int, tuple[int, int]]] = None) -> int:
+def rank_gf3(columns: Sequence[tuple[int, int]]) -> int:
     """Rank of a GF(3) matrix given as (ones, twos) row bitmask pairs.
 
     Each pivot is stored scaled so that its lowest row holds 1; its negation
-    is the swapped pair.  With ``pivots`` (lowest row bit -> pivot pair), the
-    columns extend that echelon form and the added rank is returned.
+    is the swapped pair.
     """
-    if pivots is None:
-        pivots = {}
-    rank = 0
+    echelon: dict[int, tuple[int, int]] = {}  # lowest row bit -> pivot pair
     for x1, x2 in columns:
         while v := x1 | x2:
             low = v & -v
-            p = pivots.get(low)
+            p = echelon.get(low)
             if p is None:
-                pivots[low] = (x2, x1) if x2 & low else (x1, x2)
-                rank += 1
+                echelon[low] = (x2, x1) if x2 & low else (x1, x2)
                 break
             # add the pivot to an entry 2, its negation to an entry 1
             y1, y2 = p if x2 & low else (p[1], p[0])
             t = (x1 | y2) ^ (x2 | y1)
             x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
-    return rank
+    return len(echelon)
 
 
-def rank_sparse(columns: Sequence[dict[int, int]], characteristic: int,
-                pivots: Optional[dict[int, tuple[int, dict]]] = None) -> int:
+def rank_sparse(columns: Sequence[dict[int, int]], characteristic: int) -> int:
     """Rank over GF(p) (p prime) or the rationals (characteristic 0).
 
     Columns are sparse {row: coefficient} dicts of ints, nonzero mod p;
@@ -121,26 +101,21 @@ def rank_sparse(columns: Sequence[dict[int, int]], characteristic: int,
     Over the rationals elimination is fraction-free: work = a * work - c *
     pivot, with a/c the ratio of the pivot's and work's leading entries in
     lowest terms, after which work is divided by the gcd of its entries.
-    With ``pivots`` (top row -> (lead, rest of the pivot column)), the
-    columns extend that echelon form and the added rank is returned.
     """
     p = characteristic
-    if pivots is None:
-        pivots = {}
-    rank = 0
+    echelon: dict[int, tuple[int, dict]] = {}  # top row -> (lead, rest of the pivot column)
     for col in columns:
         work = dict(col)
         while work:
             r = max(work)
             c = work.pop(r)
-            piv = pivots.get(r)
+            piv = echelon.get(r)
             if piv is None:
                 if p:
                     inv = pow(c, -1, p)
-                    pivots[r] = (1, {k: v * inv % p for k, v in work.items()})
+                    echelon[r] = (1, {k: v * inv % p for k, v in work.items()})
                 else:
-                    pivots[r] = (c, work)
-                rank += 1
+                    echelon[r] = (c, work)
                 break
             lead, rest = piv
             if not p:
@@ -160,7 +135,7 @@ def rank_sparse(columns: Sequence[dict[int, int]], characteristic: int,
                 g = gcd(*work.values())
                 if g > 1:
                     work = {k: v // g for k, v in work.items()}
-    return rank
+    return len(echelon)
 
 
 def boundary_columns(faces_k: Sequence[int], faces_km1: Sequence[int], characteristic: int):
@@ -222,16 +197,16 @@ class FaceColumns:
         return cols
 
 
-def boundary_rank(columns: Sequence, field: FieldSpec, pivots: Optional[dict] = None) -> int:
-    """Rank of the columns in the field's kernel, or the rank they add to ``pivots``."""
+def boundary_rank(columns: Sequence, field: FieldSpec) -> int:
+    """Rank of the columns in the field's kernel."""
     if not columns:
         return 0
     p = field.characteristic
     if p == 2:
-        return rank_gf2(columns, pivots)
+        return rank_gf2(columns)
     if p == 3:
-        return rank_gf3(columns, pivots)
-    return rank_sparse(columns, p, pivots)
+        return rank_gf3(columns)
+    return rank_sparse(columns, p)
 
 
 def betti_from_sizes(columns_by_size: Sequence[Sequence], field: FieldSpec,

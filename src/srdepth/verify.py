@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 from typing import Optional
 
 from . import graphs as gr
-from .betti import GuardError, graph_betti_table, graph_depth, guard_subset_scan, kappa_via_betti
+from .betti import GuardError, graph_betti_table, graph_depth, guard_subset_scan, kappa_from_table
 from .betti import second_power_depths
 from .graphs import Graph
 from .homology import GF2, FieldSpec
@@ -163,7 +163,8 @@ def verify_graph(g: Graph, field: FieldSpec = GF2, include_powers: bool = False,
     else:
         checks.append(Check("kappa_flow_equals_bruteforce", "skipped", "skipped: size"))
 
-    kb = kappa_via_betti(g, field, allow_large=allow_large)
+    table = graph_betti_table(g, field, allow_large=allow_large)
+    kb = kappa_from_table(table)
     checks.append(Check("kappa_betti_equals_graph", "pass" if kb == kappa else "fail",
                         f"betti={kb} graph={kappa}"))
 
@@ -200,19 +201,14 @@ def verify_graph(g: Graph, field: FieldSpec = GF2, include_powers: bool = False,
     else:
         checks.append(Check("depth2_kappa_cap", "skipped", "depth != 2"))
 
-    if g.n <= 10:
-        table = graph_betti_table(g, field, allow_large=allow_large)
-        expect = g.complement().num_edges()
-        got = table[(1, 2)]
-        checks.append(Check("beta12_equals_complement_edges", "pass" if got == expect else "fail",
-                            f"beta(1,2)={got} edges(G^c)={expect}"))
-        pd_table = table.projective_dimension()
-        ok = pd_table == g.n - depth
-        checks.append(Check("table_depth_consistent", "pass" if ok else "fail",
-                            f"pd(table)={pd_table} pd(scan)={g.n - depth}"))
-    else:
-        checks.append(Check("beta12_equals_complement_edges", "skipped", "skipped: size"))
-        checks.append(Check("table_depth_consistent", "skipped", "skipped: size"))
+    expect = g.complement().num_edges()
+    got = table[(1, 2)]
+    checks.append(Check("beta12_equals_complement_edges", "pass" if got == expect else "fail",
+                        f"beta(1,2)={got} edges(G^c)={expect}"))
+    pd_table = table.projective_dimension()
+    ok = pd_table == g.n - depth
+    checks.append(Check("table_depth_consistent", "pass" if ok else "fail",
+                        f"pd(table)={pd_table} pd(scan)={g.n - depth}"))
 
     depth_symbolic = depth_square = None
     if include_powers:

@@ -30,7 +30,8 @@ from srdepth.complexes import (
     complex_from_squarefree_ideal,
     stanley_reisner_ideal,
 )
-from srdepth.graphs import Graph, GuardError, bits, is_chordal, mask_of, vertex_connectivity
+from srdepth.graphs import (Graph, GuardError, bits, is_chordal, mask_of, vertex_connectivity,
+                            vertex_connectivity_bruteforce)
 from srdepth.homology import GF2, GF3, RATIONAL, FieldSpec
 from srdepth.monomials import MonomialIdeal, edge_ideal, minimalize, parse_ideal, polarize
 from srdepth.verify import construct_example, random_chordal_graph
@@ -214,9 +215,9 @@ def _record_ranks(monkeypatch) -> tuple[list, list]:
             super().__init__(*args)
             built.append(self)
 
-    def recording_rank(columns, field, pivots=None):
+    def recording_rank(columns, field):
         reduced.extend(columns)
-        return homology.boundary_rank(columns, field, pivots)
+        return homology.boundary_rank(columns, field)
 
     def recording_sizes(columns_by_size, *args):
         reduced.extend(col for group in columns_by_size for col in group)
@@ -352,38 +353,6 @@ class TestLazyColumns:
             graph_depth(g, GF3)
             assert len(built) == len(set(built)) and set(built) == read
 
-    def test_kappa_builds_the_edge_columns_once(self, monkeypatch):
-        # kappa reads H_0 off the graph's own edges: no clique complex, one
-        # build of the size-2 columns, one rank per removal set tested
-        g = K6_JOIN_TRIANGLES
-        built, ranked = [], []
-        build, rank = betti.boundary_columns, betti.boundary_rank
-
-        def no_complex(g):
-            raise AssertionError("kappa built the clique complex")
-
-        def counting_build(faces_k, faces_km1, characteristic):
-            built.append(sorted({f.bit_count() for f in faces_k}))
-            return build(faces_k, faces_km1, characteristic)
-
-        def counting_rank(columns, field, pivots=None):
-            ranked.append(len(columns))
-            return rank(columns, field, pivots)
-
-        monkeypatch.setattr(betti, "clique_complex", no_complex)
-        monkeypatch.setattr(betti, "boundary_columns", counting_build)
-        monkeypatch.setattr(betti, "boundary_rank", counting_rank)
-        for field in (GF2, GF3, RATIONAL):
-            built.clear()
-            ranked.clear()
-            assert kappa_via_betti(g, field) == 6
-            assert built == [[2]]
-            # the scan starts at N(6) = {0, ..., 5, 7, 8} (degree 8), whose
-            # pass keeps 0, ..., 5 and drops 7 and 8; then every set of size 5
-            # fails, the last {7, ..., 11} leaving K7's 21 edges
-            assert len(ranked) == 8 + math.comb(12, 5)
-            assert ranked[-1] == 21
-
 
 @st.composite
 def small_graphs(draw, n_max=7):
@@ -480,7 +449,7 @@ class TestMayerVietoris:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(recurrence_graphs())
-    def test_matches_walk(self, g):
+    def test_matches_hochster_sum(self, g):
         c = clique_complex(g)
         for field in (GF2, GF3, FieldSpec(5), RATIONAL):
             assert graph_betti_table(g, field) == graded_betti_table(c, field), (g.n, g.edges())
@@ -533,7 +502,7 @@ class TestMayerVietoris:
                 assert closed[u] & core & ~closed[other]
 
     @pytest.mark.parametrize("field", [GF2, GF3], ids=["GF2", "GF3"])
-    def test_matches_walk_at_benchmark_sizes(self, field):
+    def test_matches_hochster_sum_at_benchmark_sizes(self, field):
         # n = 11-12 at the fuzz probabilities: larger cosets than the
         # Hypothesis property reaches, and the unstored last block
         rng = random.Random(23)
@@ -627,6 +596,50 @@ class TestKappaViaBetti:
             assert vertex_connectivity(g).kappa == kappa
             for field in (GF2, GF3, FieldSpec(5), RATIONAL):
                 assert kappa_via_betti(g, field) == kappa
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(small_graphs(n_max=9))
+    def test_strand_matches_flow_and_bruteforce(self, g):
+        kappa = vertex_connectivity(g).kappa
+        assert vertex_connectivity_bruteforce(g).kappa == kappa
+        for field in (GF2, GF3, FieldSpec(5), RATIONAL):
+            assert kappa_via_betti(g, field) == kappa, (g.n, g.edges())
+
+    def test_kappa_reads_one_graph_table(self, monkeypatch):
+        # kappa is the linear strand of one graph table: the only boundary
+        # columns built are those the table ranks at its conflicts
+        tables, inside, outside, depth = [], [], [], [0]
+        table_of, build = betti.graph_betti_table, homology.boundary_columns
+
+        def counting_table(*args, **kwargs):
+            tables.append(args)
+            depth[0] += 1
+            try:
+                return table_of(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def counting_build(*args):
+            (inside if depth[0] else outside).append(args)
+            return build(*args)
+
+        monkeypatch.setattr(betti, "graph_betti_table", counting_table)
+        monkeypatch.setattr(homology, "boundary_columns", counting_build)
+        monkeypatch.setattr(betti, "boundary_columns", counting_build, raising=False)
+        for field in (GF2, GF3, RATIONAL):
+            tables.clear()
+            assert kappa_via_betti(RANKED_CONFLICT, field) == vertex_connectivity(RANKED_CONFLICT).kappa
+            assert tables == [(RANKED_CONFLICT, field)]
+        assert inside and not outside
+
+    def test_read_off_the_linear_strand(self):
+        # n less the largest j with beta_{j-1,j} != 0, or n - 1 with none:
+        # C4 has beta_{1,2} = 2 from its diagonals and beta_{2,4} off the strand
+        assert betti.kappa_from_table(BettiTable(4, {(0, 0): 1, (1, 2): 2, (2, 4): 1})) == 2
+        assert betti.kappa_from_table(BettiTable(4, {(0, 0): 1})) == 3
+        path = {(0, 0): 1, (1, 2): 3, (2, 3): 2}  # P4: 3 non-edges, 2 separated triples
+        assert graph_betti_table(construct_example("path", t=4)).entries == path
+        assert betti.kappa_from_table(BettiTable(4, path)) == 1
 
     def test_complete_graph(self):
         assert kappa_via_betti(construct_example("complete", t=4)) == 3

@@ -451,6 +451,30 @@ class TestVerifyCommand:
         # key order is part of the output, and json.dumps keeps the dict's order
         assert code == 0 and out == json.dumps(expected, indent=2) + "\n"
 
+    def test_json_golden_twelve_vertices(self, capsys):
+        # the table checks run at every n the subset guard admits; jc6
+        # attains the depth-2 cap kappa = (2n - 2) // 3 = 7
+        code, out, _ = run(capsys, "verify", "--name", "jc6", "--format", "json")
+        checks = [
+            ("kappa_flow_equals_bruteforce", "pass", "flow=7 brute=7"),
+            ("kappa_betti_equals_graph", "pass", "betti=7 graph=7"),
+            ("depth_le_kappa_plus_1", "pass", "depth=2 kappa=7"),
+            ("depth_lower_bound", "pass", "depth=2 lower=2"),
+            ("chordal_equality", "skipped", "not chordal"),
+            ("depth2_kappa_cap", "pass", "kappa=7 cap=7"),
+            ("beta12_equals_complement_edges", "pass", "beta(1,2)=24 edges(G^c)=24"),
+            ("table_depth_consistent", "pass", "pd(table)=10 pd(scan)=10"),
+        ]
+        expected = {
+            "n": 12, "edge_count": 42, "kappa": 7, "is_chordal": False, "depth": 2,
+            "depth_symbolic_square": None, "depth_square": None,
+            "bounds": {"upper": 8, "lower_depth": 2, "lower_symbolic": 1, "lower_square": 0,
+                       "depth2_kappa_cap": 7},
+            "checks": [{"name": n, "status": s, "detail": d} for n, s, d in checks],
+            "field_characteristic": 2,
+        }
+        assert code == 0 and out == json.dumps(expected, indent=2) + "\n"
+
     def test_example_alias_with_powers(self, capsys):
         code, out, _ = run(capsys, "example", "--name", "c6", "--powers")
         assert code == 0

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import random
@@ -180,40 +179,6 @@ class TestRank:
             widest[0] = 0
             assert rank_sparse(cols, 0) == sympy.Matrix(dense).rank()
             assert widest[0] <= (2 * hadamard_squared).bit_length(), (size, widest[0])
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 0])
-    def test_extension_into_pivots(self, p):
-        # two batches reduced into one pivots dict give the rank of both, and
-        # extending a copy leaves the original dict as it was
-        import sympy
-        kernel = {2: rank_gf2, 3: rank_gf3}.get(p, lambda cols, pivots: rank_sparse(cols, p, pivots))
-        rng = random.Random(16 + p)
-        for _ in range(60):
-            rows, a, b = rng.randint(1, 9), rng.randint(1, 6), rng.randint(1, 6)
-            dense = [[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.5 else 0 for _ in range(a + b)]
-                     for _ in range(rows)]
-            if rng.random() < 0.5:  # a second-batch column in the span of the first
-                for row in dense:
-                    row[a] = row[0] - 2 * row[a - 1]
-            if p == 2:
-                cols = [mask_of(i for i, row in enumerate(dense) if row[j] % 2) for j in range(a + b)]
-            elif p == 3:
-                cols = _gf3_pairs(dense)
-            else:
-                cols = _dict_columns(dense, p)
-
-            def rank_of(width):
-                part = [row[:width] for row in dense]
-                return _rank_mod_p(part, p) if p else sympy.Matrix(part).rank()
-
-            pivots: dict = {}
-            assert kernel(cols[:a], pivots) == len(pivots) == rank_of(a)
-            snapshot = copy.deepcopy(pivots)
-            child = dict(pivots)
-            added = kernel(cols[a:], child)
-            assert len(pivots) + added == len(child) == rank_of(a + b), dense
-            assert pivots == snapshot
-            assert boundary_rank(cols[a:], FieldSpec(p), dict(pivots)) == added
 
     def test_boundary_matrices_of_clique_complexes(self):
         import sympy

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from srdepth.graphs import Graph, GuardError, vertex_connectivity
+from srdepth.homology import GF3
 from srdepth.verify import (
     CSV_HEADER,
     BoundSet,
@@ -19,7 +20,7 @@ from srdepth.verify import (
     verify_graph,
 )
 
-from conftest import graph_corpus
+from conftest import graph_corpus, random_graph
 from helpers import is_subideal_of, lemma_arithmetic, second_powers
 
 
@@ -126,6 +127,20 @@ class TestVerifyGraph:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             verify_graph(Graph(1, (0,)))
+
+    def test_table_checks_run_up_to_the_subset_guard(self):
+        # one table per graph answers kappa, beta_{1,2} and pd at every n the
+        # guard admits, with no size skip
+        rng = random.Random(61)
+        for n in (11, 13, 14):
+            for p in (0.3, 0.7):
+                g = random_graph(rng, n, p)
+                r = verify_graph(g, GF3)
+                by_name = {c.name: c.status for c in r.checks}
+                assert r.all_pass() and r.kappa == vertex_connectivity(g).kappa, (n, p)
+                for name in ("kappa_betti_equals_graph", "beta12_equals_complement_edges",
+                             "table_depth_consistent"):
+                    assert by_name[name] == "pass", (n, p, name)
 
     def test_json_deterministic_and_timing_free(self):
         g = construct_example("cycle", t=5)
