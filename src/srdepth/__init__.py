@@ -3,7 +3,8 @@ tables, depth, vertex connectivity, second powers, and a verification CLI.
 
 The package holds what the ``sr-depth`` CLI runs, plus the Stanley-Reisner,
 polarization and second-power generator routes that the benchmark's tracer
-names; oracles that only the tests use live in ``tests/helpers.py``.
+names; oracles that only the tests use, the edge-ideal builder among them,
+live in ``tests/helpers.py``.
 """
 
 from .graphs import (
@@ -36,7 +37,6 @@ from .betti import (
 from .monomials import (
     MonomialIdeal,
     Polarization,
-    edge_ideal,
     minimalize,
     parse_ideal,
     polarize,

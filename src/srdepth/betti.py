@@ -9,7 +9,11 @@ G_a = {j : a_j < 0}; for a squarefree I, Delta_a is the link of G_a.
 One scan computes every depth: G_a runs over faces by size, a caller yields
 the degree complexes Delta_a for each, and the scan skips a Delta_a whose
 faces, truncated to the degrees that could lower the depth, form a cone
-over one of its vertices.
+over one of its vertices.  For a graph, Delta_a is the link of the clique
+G_a, the clique complex on its common neighbours, so graph_depth builds no
+ideal and filters no faces: it yields the cliques of that neighbourhood's
+strong-collapse core, which has the link's homology, and nothing where the
+core is one vertex.
 
 The depths of S/I^(2) and S/I^2 for I = I(G^c) are read off Delta = Delta(G)
 itself, with no ideal built (Minh-Trung, "Cohen-Macaulayness of monomial
@@ -48,11 +52,12 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .complexes import (NONFACE_SCAN_LIMIT, SimplicialComplex, clique_complex, complex_from_squarefree_ideal,
-                        guard_face_enumeration, stanley_reisner_ideal)
+from .complexes import (NONFACE_SCAN_LIMIT, SimplicialComplex, clique_complex, cliques_by_size,
+                        complex_from_squarefree_ideal, guard_clique_complex, guard_face_enumeration,
+                        stanley_reisner_ideal)
 from .graphs import Graph, GuardError, bits, mask_of
 from .homology import GF2, FaceColumns, FieldSpec, betti_from_sizes, boundary_rank
-from .monomials import MonomialIdeal, edge_ideal
+from .monomials import MonomialIdeal
 
 SUBSET_SCAN_LIMIT = 14
 POLARIZED_SCAN_LIMIT = 16
@@ -375,14 +380,15 @@ def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = F
 def _depth_scan(faces: FaceColumns, complexes) -> tuple[int, tuple]:
     """Least |G_a| + 1 + ell with H_ell(Delta_a) != 0, G_a over the faces of a complex by size.
 
-    complexes(ga, kmax) yields (key, faces of Delta_a) for the degrees a with
-    negative part ga, the faces as a set that may leave out those of size
-    over kmax.  Only degrees ell <= kmax - 2 can beat the best depth, so only
-    faces of size <= kmax count, and those degrees vanish if some vertex v
-    joins every counted face with fewer than kmax vertices: the counted faces
-    then hold the cone over v up to that size.  Depth is at most the largest
-    face size, the dimension of S/I, and at least |G_a|, so the scan stops
-    once |G_a| reaches the best depth found.  The witness (key, ell) is the
+    complexes(ga, kmax) yields (key, faces) for the degrees a with negative
+    part ga, the faces of Delta_a or of a complex with its reduced homology,
+    as a set that may leave out those of size over kmax.  Only degrees
+    ell <= kmax - 2 can beat the best depth, so only faces of size <= kmax
+    count, and those degrees vanish if some vertex v joins every counted
+    face with fewer than kmax vertices: the counted faces then hold the cone
+    over v up to that size.  Depth is at most the largest face size, the
+    dimension of S/I, and at least |G_a|, so the scan stops once |G_a|
+    reaches the best depth found.  The witness (key, ell) is the
     first Delta_a that attains the depth and its least nonzero degree.
     """
     best, witness = len(faces.by_size), None
@@ -402,7 +408,7 @@ def _depth_scan(faces: FaceColumns, complexes) -> tuple[int, tuple]:
                 vertices = grouped[1] if len(grouped) > 1 else []
                 if any(all(f | v in selected for f in lower) for v in vertices):
                     continue
-                columns = [[faces.columns(k)[f] for f in fs] for k, fs in enumerate(grouped)]
+                columns = [[cols[f] for f in fs] for fs, cols in zip(grouped, map(faces.columns, range(len(grouped))))]
                 dims = betti_from_sizes(columns, faces.field, -1, kmax - 2)
                 if dims:
                     best = size + 1 + min(dims)
@@ -465,9 +471,44 @@ def depth_stanley_reisner(c: SimplicialComplex, field: FieldSpec = GF2, *,
 
 
 def graph_depth(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> DepthResult:
-    """Depth of S/I(G^c): the clique complex's minimal non-faces are the non-edges."""
+    """Depth of S/I(G^c) by the depth scan on Delta = Delta(g), whose minimal non-faces are the non-edges.
+
+    A universal vertex of g is in no generator, so it lies in every G_a and
+    adds 1; a complete g has I = 0.  Every other rho_j is 1, so a is -1 on
+    G_a and 0 elsewhere, and Delta_a is the link of the clique G_a: the
+    clique complex of g on the common neighbours of G_a, less the universal
+    vertices.  That has the reduced homology of the clique complex on its
+    strong-collapse core (Barmak-Minian, DCG 47, 2012), which is yielded in
+    its place.  A one-vertex core is acyclic, and with kmax <= 1 a link with
+    a vertex is a cone in the degrees the scan reads, so neither is yielded.
+    """
     guard_subset_scan(g.n, allow_large)
-    return _takayama_depth(clique_complex(g), edge_ideal(g.complement()), field)
+    guard_clique_complex(g.n)
+    n, adj, full = g.n, g.adj, g.full_mask
+    forced = mask_of(v for v in range(n) if adj[v] | 1 << v == full)
+    if forced == full:
+        return DepthResult(n, 0, ((-1,) * n, -1))
+    others = full & ~forced
+    faces = FaceColumns([sorted(group) for group in cliques_by_size(adj, others, n)], field)
+    closed = [row | 1 << v for v, row in enumerate(adj)]
+
+    def complexes(ga: int, kmax: int):
+        common = others  # the link's vertices
+        for v in bits(ga):
+            common &= adj[v]
+        if common:
+            if kmax <= 1:
+                return
+            common = _strong_core(common, closed)
+            if not common & common - 1:
+                return
+        neg = ga | forced
+        core = itertools.chain.from_iterable(cliques_by_size(adj, common, kmax))
+        yield tuple(-(neg >> j & 1) for j in range(n)), set(core)
+
+    depth, witness = _depth_scan(faces, complexes)
+    free = forced.bit_count()
+    return DepthResult(free + depth, n - free - depth, witness)
 
 
 def guard_second_powers(n: int, m: int, allow_large: bool) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graphs import Graph, GuardError, bits, mask_of
 from .monomials import MonomialIdeal
@@ -67,19 +68,36 @@ def guard_clique_complex(n: int) -> None:
         raise GuardError(f"clique complex limited to n <= {CLIQUE_COMPLEX_LIMIT}")
 
 
+def cliques_by_size(adj: Sequence[int], x: int, kmax: int) -> list[list[int]]:
+    """The cliques inside x with at most kmax vertices, grouped by size; group 0 is the empty one.
+
+    Each clique grows by the vertices of x above its top vertex that are
+    adjacent to all of it, so it is found once, from its lower vertices.
+    """
+    groups, frontier = [[0]], [(0, x)]  # (clique, the vertices that extend it)
+    while len(groups) <= kmax:
+        grown = []
+        for clique, cand in frontier:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                grown.append((clique | low, cand & adj[low.bit_length() - 1]))
+        if not grown:
+            break
+        groups.append([clique for clique, _ in grown])
+        frontier = grown
+    return groups
+
+
 def clique_complex(g: Graph) -> SimplicialComplex:
     """All cliques of g, including the empty face and all singletons."""
     guard_clique_complex(g.n)
-    faces = [0]
-
-    def expand(clique: int, cand: int) -> None:
-        for v in bits(cand):
-            ext = clique | 1 << v
-            faces.append(ext)
-            expand(ext, cand & g.adj[v] & ~((1 << (v + 1)) - 1))
-
-    expand(0, g.full_mask)
-    return SimplicialComplex(g.n, frozenset(faces))
+    faces = itertools.chain.from_iterable(cliques_by_size(g.adj, g.full_mask, g.n))
+    # closed under subsets by construction, so __post_init__'s checks are skipped
+    c = object.__new__(SimplicialComplex)
+    object.__setattr__(c, "n", g.n)
+    object.__setattr__(c, "faces", frozenset(faces))
+    return c
 
 
 def stanley_reisner_ideal(c: SimplicialComplex) -> MonomialIdeal:

@@ -215,6 +215,8 @@ def betti_from_sizes(columns_by_size: Sequence[Sequence], field: FieldSpec,
 
     f_k is the length of group k.  Only degrees in [ell_lo, ell_hi] are
     computed; dim H_ell equals f_{ell+1} - rank d_{ell+1} - rank d_{ell+2}.
+    d_1 maps every vertex to the empty face, so its rank is 1 if there is a
+    vertex, with no elimination.
     """
     top = len(columns_by_size) - 1
     if ell_hi is None:
@@ -224,7 +226,7 @@ def betti_from_sizes(columns_by_size: Sequence[Sequence], field: FieldSpec,
         return {}
     ranks: dict[int, int] = {}
     for k in range(max(ell_lo + 1, 1), min(ell_hi + 2, top) + 1):
-        ranks[k] = boundary_rank(columns_by_size[k], field)
+        ranks[k] = boundary_rank(columns_by_size[k], field) if k > 1 else min(len(columns_by_size[1]), 1)
     dims = {}
     for ell in range(ell_lo, ell_hi + 1):
         k = ell + 1

@@ -120,12 +120,6 @@ def power(a: MonomialIdeal, m: int) -> MonomialIdeal:
     return out
 
 
-def edge_ideal(g: Graph) -> MonomialIdeal:
-    """Edge ideal of g: one generator x_u x_v per edge, labels as in g."""
-    gens = [monomial_from_mask(g.n, (1 << u) | (1 << v)) for u, v in g.edges()]
-    return MonomialIdeal(g.n, tuple(sorted(gens)))
-
-
 def symbolic_power(g: Graph, square: MonomialIdeal) -> MonomialIdeal:
     """Symbolic square I^(2) of the edge ideal I of g, given ``square`` = I^2.
 

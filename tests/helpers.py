@@ -1,13 +1,14 @@
 """Test oracles built on the package's value types.
 
 The CLI never calls these: downward closure, restriction, links and cones of
-complexes, reduced Betti numbers of a whole complex, ideal membership,
-intersections, colon ideals and the colon structure of (I^2 : x_i x_j), the
-symbolic square through minimal vertex covers, the generators of the second
-powers of an edge ideal (the oracle of the degree-complex depths), the ideal
-text printer, induced subgraphs, graphs with a vertex set isolated, vertex
-connectivity and the minimum s-t separators by ascending separator scans,
-and the kappa > (2n-2)/3 arithmetic lemma.
+complexes, reduced Betti numbers of a whole complex, edge ideals, ideal
+membership, intersections, colon ideals and the colon structure of
+(I^2 : x_i x_j), the symbolic square through minimal vertex covers, the
+generators of the second powers of an edge ideal (the oracle of the
+degree-complex depths), the ideal text printer, induced subgraphs, graphs
+with a vertex set isolated, vertex connectivity and the minimum s-t
+separators by ascending separator scans, and the kappa > (2n-2)/3
+arithmetic lemma.
 Unlike the sympy oracle in ``conftest.py``, they reuse package code.
 """
 
@@ -21,8 +22,8 @@ from srdepth.betti import guard_polarized_scan
 from srdepth.complexes import SimplicialComplex, guard_face_enumeration
 from srdepth.graphs import Graph, bits, mask_of
 from srdepth.homology import GF2, FaceColumns, FieldSpec, betti_from_sizes
-from srdepth.monomials import (Monomial, MonomialIdeal, divides, edge_ideal, minimalize, monomial_from_mask,
-                               mul, power, symbolic_power)
+from srdepth.monomials import (Monomial, MonomialIdeal, divides, minimalize, monomial_from_mask, mul, power,
+                               symbolic_power)
 
 
 def from_faces(n: int, faces: Iterable[int]) -> SimplicialComplex:
@@ -74,6 +75,12 @@ def reduced_betti(c: SimplicialComplex, field: FieldSpec = GF2) -> dict[int, int
     faces = FaceColumns(c.faces_by_size(), field)
     grouped = [list(faces.columns(k).values()) for k in range(len(faces.by_size))]
     return betti_from_sizes(grouped, field)
+
+
+def edge_ideal(g: Graph) -> MonomialIdeal:
+    """Edge ideal of g: one generator x_u x_v per edge, labels as in g."""
+    gens = [monomial_from_mask(g.n, (1 << u) | (1 << v)) for u, v in g.edges()]
+    return MonomialIdeal(g.n, tuple(sorted(gens)))
 
 
 def contains(a: MonomialIdeal, m: Monomial) -> bool:

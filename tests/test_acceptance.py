@@ -18,11 +18,12 @@ from srdepth.cli import main
 from srdepth.complexes import clique_complex, complex_from_squarefree_ideal
 from srdepth.graphs import Graph, bits, vertex_connectivity, vertex_connectivity_bruteforce
 from srdepth.homology import GF2, GF3, RATIONAL
-from srdepth.monomials import edge_ideal, minimalize, mul, power, symbolic_power
+from srdepth.monomials import minimalize, mul, power, symbolic_power
 from srdepth.verify import construct_example, fuzz_campaign
 
 from conftest import graph_corpus, random_graph
-from helpers import colon, colon_square_structure, isolate, lemma_arithmetic, second_powers, symbolic_square_by_covers
+from helpers import (colon, colon_square_structure, edge_ideal, isolate, lemma_arithmetic, second_powers,
+                     symbolic_square_by_covers)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

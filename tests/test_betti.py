@@ -6,7 +6,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srdepth import betti, homology
@@ -33,12 +33,12 @@ from srdepth.complexes import (
 from srdepth.graphs import (Graph, GuardError, bits, is_chordal, mask_of, vertex_connectivity,
                             vertex_connectivity_bruteforce)
 from srdepth.homology import GF2, GF3, RATIONAL, FieldSpec
-from srdepth.monomials import MonomialIdeal, edge_ideal, minimalize, parse_ideal, polarize
+from srdepth.monomials import MonomialIdeal, minimalize, parse_ideal, polarize
 from srdepth.verify import construct_example, random_chordal_graph
 
 from conftest import (K6_JOIN_TRIANGLES, graph_corpus, masks_to_tuples, oracle_betti_table, oracle_hochster_table,
                       random_graph)
-from helpers import from_faces, kappa_by_ascending_scan, link, reduced_betti, second_powers
+from helpers import edge_ideal, from_faces, kappa_by_ascending_scan, link, reduced_betti, second_powers
 
 C4 = construct_example("cycle", t=4)
 C6 = construct_example("cycle", t=6)
@@ -333,7 +333,9 @@ def _record_column_builds(monkeypatch) -> tuple[list[int], set[int]]:
 class TestLazyColumns:
     def test_depth_skips_the_large_faces(self, monkeypatch):
         # every scanned G_a holds the six universal vertices, so only faces of
-        # the two triangles get columns, and their link gives depth 6 + 0 + 1
+        # the two triangles count; the link of G_a = {} is the two triangles,
+        # which collapse to two points, so it is ranked on the empty face and
+        # two vertices alone and gives depth 6 + 0 + 1
         g = K6_JOIN_TRIANGLES
         assert len(clique_complex(g).faces_by_size()) == 10
         built, read = _record_column_builds(monkeypatch)
@@ -341,7 +343,7 @@ class TestLazyColumns:
             built.clear()
             read.clear()
             assert graph_depth(g, field).depth == 7
-            assert built == [0, 1, 2, 3] and read == {0, 1, 2, 3}
+            assert built == [0, 1] and read == {0, 1}
 
     def test_each_size_built_once_and_read(self, monkeypatch):
         rng = random.Random(17)
@@ -368,6 +370,39 @@ class TestDepthRoutes:
     def test_engine_matches_hochster_table(self, g):
         for field in (GF2, GF3, RATIONAL):
             assert graph_depth(g, field).depth == g.n - graph_betti_table(g, field).projective_dimension()
+
+    # graph_depth ranks each link on the strong-collapse core of its clique's
+    # common neighbours; depth_stanley_reisner filters the link's own faces
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(small_graphs(n_max=9), st.booleans())
+    def test_graph_route_matches_complex_route(self, g, dense):
+        if dense:
+            g = g.complement()
+        c = clique_complex(g)
+        for field in (GF2, GF3, FieldSpec(5), RATIONAL):
+            assert graph_depth(g, field) == depth_stanley_reisner(c, field)
+
+    # the scan visits the cliques G_a by size, then by mask, and keeps the
+    # first whose link attains the depth; the universal vertices U lie in
+    # every G_a, so the link of F + U is that of F in g less U.  In the
+    # example, {1, 4} and {0, 5} both attain the depth; {1, 4} has the
+    # smaller mask, but {0, 5} comes first by lowest vertex.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(small_graphs(n_max=9), st.booleans())
+    @example(Graph.from_edges(6, [(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (1, 5), (2, 4), (3, 5), (4, 5)]), False)
+    def test_witness_is_the_first_attaining_clique(self, g, dense):
+        if dense:
+            g = g.complement()
+        c = clique_complex(g)
+        universal = mask_of(v for v in range(g.n) if g.adj[v] | 1 << v == g.full_mask)
+        res = graph_depth(g)
+        first = None
+        for f in sorted((f for f in c.faces if f & universal == universal), key=lambda f: (f.bit_count(), f)):
+            ells = [ell for ell in reduced_betti(link(c, f)) if f.bit_count() + ell + 1 == res.depth]
+            if ells:
+                first = (tuple(-(f >> j & 1) for j in range(g.n)), min(ells))
+                break
+        assert res.witness == first
 
     # the polarization oracle scans all 2^m vertex subsets of an m-variable
     # ring, and I(G^c)^2 needs up to 2n variables (about 25 s at n = 7)

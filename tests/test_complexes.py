@@ -7,15 +7,16 @@ import pytest
 from srdepth.complexes import (
     SimplicialComplex,
     clique_complex,
+    cliques_by_size,
     complex_from_squarefree_ideal,
     stanley_reisner_ideal,
 )
 from srdepth.graphs import Graph, GuardError, bits, mask_of
-from srdepth.monomials import MonomialIdeal, edge_ideal, minimalize
+from srdepth.monomials import MonomialIdeal, minimalize
 from srdepth.verify import construct_example
 
 from conftest import masks_to_tuples, oracle_cliques
-from helpers import from_faces, induced_subgraph, is_cone, link, reduced_betti, restrict
+from helpers import edge_ideal, from_faces, induced_subgraph, is_cone, link, reduced_betti, restrict
 
 C4 = construct_example("cycle", t=4)
 C6 = construct_example("cycle", t=6)
@@ -42,6 +43,17 @@ class TestCliqueComplex:
     def test_matches_bruteforce_cliques(self, small_corpus):
         for g in small_corpus[:25]:
             assert masks_to_tuples(set(clique_complex(g).faces)) == oracle_cliques(g)
+
+    def test_cliques_by_size_within_a_vertex_set(self, small_corpus):
+        # the groups hold the cliques inside x by size, each once, up to kmax
+        for i, g in enumerate(small_corpus[:25]):
+            x = mask_of(range(0, g.n, 1 + i % 3))
+            inside = sorted(f for f in map(mask_of, oracle_cliques(g)) if f & ~x == 0)
+            for kmax in range(g.n + 1):
+                groups = cliques_by_size(g.adj, x, kmax)
+                assert [len(set(group)) for group in groups] == [len(group) for group in groups]
+                assert all(f.bit_count() == k for k, group in enumerate(groups) for f in group)
+                assert sorted(f for group in groups for f in group) == [f for f in inside if f.bit_count() <= kmax]
 
     def test_guard(self):
         with pytest.raises(GuardError):

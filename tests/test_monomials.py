@@ -11,7 +11,6 @@ from srdepth.graphs import Graph, mask_of
 from srdepth.monomials import (
     MonomialIdeal,
     divides,
-    edge_ideal,
     minimalize,
     mul,
     parse_ideal,
@@ -26,6 +25,7 @@ from conftest import random_graph
 from helpers import (
     colon,
     colon_square_structure,
+    edge_ideal,
     format_ideal,
     format_monomial,
     intersection,
