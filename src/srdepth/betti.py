@@ -6,14 +6,16 @@ with H^i_m(S/I) != 0, read off Takayama's formula
 dim H^i_m(S/I)_a = dim H_{i-|G_a|-1}(Delta_a) in the n variables of S, where
 G_a = {j : a_j < 0}; for a squarefree I, Delta_a is the link of G_a.
 
-One scan computes every depth: G_a runs over faces by size, a caller yields
-the degree complexes Delta_a for each, and the scan skips a Delta_a whose
-faces, truncated to the degrees that could lower the depth, form a cone
-over one of its vertices.  For a graph, Delta_a is the link of the clique
-G_a, the clique complex on its common neighbours, so graph_depth builds no
-ideal and filters no faces: it yields the cliques of that neighbourhood's
-strong-collapse core, which has the link's homology, and nothing where the
-core is one vertex.
+One scan computes every depth: G_a runs over faces by size, and a caller
+yields the degree complexes Delta_a for each.  The callers for ideals and
+second powers skip a Delta_a whose faces, truncated to the degrees that
+could lower the depth, form a cone over one of its vertices.  For a graph,
+Delta_a is the link of the clique G_a, the clique complex on its common
+neighbours, so graph_depth builds no ideal and filters no faces: it yields
+the cliques of that neighbourhood's strong-collapse core, which has the
+link's homology, and nothing where the core is one vertex.  A core of two
+or more vertices is never such a cone, since the apex would dominate every
+other vertex, so graph_depth tests none.
 
 The depths of S/I^(2) and S/I^2 for I = I(G^c) are read off Delta = Delta(G)
 itself, with no ideal built (Minh-Trung, "Cohen-Macaulayness of monomial
@@ -384,12 +386,10 @@ def _depth_scan(faces: FaceColumns, complexes) -> tuple[int, tuple]:
     part ga, the faces of Delta_a or of a complex with its reduced homology,
     as a set that may leave out those of size over kmax.  Only degrees
     ell <= kmax - 2 can beat the best depth, so only faces of size <= kmax
-    count, and those degrees vanish if some vertex v joins every counted
-    face with fewer than kmax vertices: the counted faces then hold the cone
-    over v up to that size.  Depth is at most the largest face size, the
-    dimension of S/I, and at least |G_a|, so the scan stops once |G_a|
-    reaches the best depth found.  The witness (key, ell) is the
-    first Delta_a that attains the depth and its least nonzero degree.
+    count.  Depth is at most the largest face size, the dimension of S/I,
+    and at least |G_a|, so the scan stops once |G_a| reaches the best depth
+    found.  The witness (key, ell) is the first Delta_a that attains the
+    depth and its least nonzero degree.
     """
     best, witness = len(faces.by_size), None
     for size, group in enumerate(faces.by_size):
@@ -404,16 +404,29 @@ def _depth_scan(faces: FaceColumns, complexes) -> tuple[int, tuple]:
                         grouped[f.bit_count()].append(f)
                 while not grouped[-1]:
                     grouped.pop()  # the empty face is always selected
-                lower = [f for fs in grouped[:kmax] for f in fs]
-                vertices = grouped[1] if len(grouped) > 1 else []
-                if any(all(f | v in selected for f in lower) for v in vertices):
-                    continue
                 columns = [[cols[f] for f in fs] for fs, cols in zip(grouped, map(faces.columns, range(len(grouped))))]
                 dims = betti_from_sizes(columns, faces.field, -1, kmax - 2)
                 if dims:
                     best = size + 1 + min(dims)
                     witness = (key, min(dims))
     return best, witness
+
+
+def _skip_cones(complexes):
+    """complexes, less each Delta_a whose degrees ell <= kmax - 2 vanish because it is a cone there.
+
+    They vanish if some vertex v joins every face with fewer than kmax
+    vertices: the faces of size <= kmax then hold the cone over v up to that
+    size.  The test uses the kmax that complexes(ga, kmax) starts with; a
+    cone up to it is a cone up to any smaller kmax the scan reaches later.
+    """
+    def pruned(ga: int, kmax: int):
+        for key, selected in complexes(ga, kmax):
+            lower = [f for f in selected if f.bit_count() < kmax]
+            vertices = [f for f in selected if f.bit_count() == 1]
+            if not any(all(f | v in selected for f in lower) for v in vertices):
+                yield key, selected
+    return pruned
 
 
 def _takayama_depth(c: SimplicialComplex, ideal: MonomialIdeal, field: FieldSpec) -> DepthResult:
@@ -456,7 +469,7 @@ def _takayama_depth(c: SimplicialComplex, ideal: MonomialIdeal, field: FieldSpec
             if 0 not in masks:
                 yield a, {f for f in link if all(f & m != m for m in masks)}
 
-    depth, witness = _depth_scan(faces, complexes)
+    depth, witness = _depth_scan(faces, _skip_cones(complexes))
     free = forced.bit_count()
     return DepthResult(free + depth, n - free - depth, witness)
 
@@ -614,7 +627,7 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
                     stack.append((grown, i + 1, child))
 
     free = g.n - m
-    return free + _depth_scan(faces, symbolic)[0], free + _depth_scan(faces, square)[0]
+    return free + _depth_scan(faces, _skip_cones(symbolic))[0], free + _depth_scan(faces, _skip_cones(square))[0]
 
 
 def kappa_from_table(table: BettiTable) -> int:

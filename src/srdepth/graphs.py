@@ -199,6 +199,33 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     return ConnectivityResult(*best)
 
 
+def _separator_by_components(g: Graph, size: int, k: int) -> Optional[int]:
+    """N(C) for the first connected C of at most k vertices with |N(C)| <= size, or None.
+
+    Each C grows from its lowest vertex v by ESU's exclusive-neighbourhood
+    rule (Wernicke, IEEE/ACM TCBB 3, 2006): a child adds a vertex w of the
+    parent's extension set and extends by what is left of that set plus the
+    neighbours of w above v that are in neither C nor N(C), so every
+    connected C is reached once.  N(C) is carried as a running union of
+    adjacency rows, so no candidate needs a search.
+    """
+    adj = g.adj
+    for v in range(g.n):
+        above = g.full_mask & -2 << v
+        stack = [(1 << v, adj[v], adj[v] & above)]
+        while stack:
+            c, nb, ext = stack.pop()
+            if nb.bit_count() <= size:
+                return nb
+            if c.bit_count() < k:
+                while ext:
+                    b = ext & -ext
+                    ext ^= b
+                    row = adj[b.bit_length() - 1]
+                    stack.append((c | b, (nb | row) & ~(c | b), ext | row & above & ~(c | nb)))
+    return None
+
+
 def vertex_connectivity_bruteforce(g: Graph) -> ConnectivityResult:
     """Oracle: vertex connectivity by testing vertex sets for separation, n <= 16.
 
@@ -206,12 +233,21 @@ def vertex_connectivity_bruteforce(g: Graph) -> ConnectivityResult:
     separates unless g is complete (kappa = n - 1, no witness).  One pass
     drops each vertex of X in turn if X still separates without it.  From
     N(v) that leaves X inclusion-minimal, since every dropped vertex keeps its
-    edge to v.  Then the sets of size |X| - 1 are tried in
-    ``itertools.combinations`` order: a separator found is shrunk in turn, and
-    none found makes |X| the connectivity and X the witness.  That is exact:
-    if X separates and |V - X| >= 3, some X + u separates, so a size with no
-    separator has none below it, and only the C(n, kappa - 1) sets just below
-    kappa are scanned in full.
+    edge to v.  Then, with s = |X|, a separator of size s - 1 is sought: one
+    found is shrunk in turn, and none found makes s the connectivity and X
+    the witness.  If X separates and |V - X| >= 3, some X + u separates, so a
+    size with no separator has none below it, and only the sets just below
+    kappa are searched in full, from the smaller side of the cut.
+
+    The vertex side is the C(n, s - 1) sets in ``itertools.combinations``
+    order, each with a search.  The component side runs where
+    k = floor((n - s + 1) / 2) <= s: some (s - 1)-separator exists iff some
+    connected C with |C| <= k has |N(C)| <= s - 1.  One way, grow a smaller
+    separator to size s - 1 (|V - X| >= 3 as s <= n - 2); the smallest
+    component C of what is left has at most k vertices and N(C) inside X.
+    The other way, |C + N(C)| <= (n + s - 1) / 2 < n, so N(C) separates C
+    from the rest.  Those C are enumerated with their neighbourhoods, with
+    no search (``_separator_by_components``).
     """
     if g.n == 0:
         raise ValueError("vertex connectivity of the empty graph is undefined")
@@ -226,8 +262,14 @@ def vertex_connectivity_bruteforce(g: Graph) -> ConnectivityResult:
             if not is_connected(g, full & ~(x ^ 1 << u)):
                 x ^= 1 << u
         size = x.bit_count()
-        below = (mask_of(c) for c in itertools.combinations(range(g.n), size - 1)) if size else ()
-        smaller = next((w for w in below if not is_connected(g, full & ~w)), None)
+        k = (g.n - size + 1) // 2
+        if not size:
+            smaller = None
+        elif k <= size:
+            smaller = _separator_by_components(g, size - 1, k)
+        else:
+            below = (mask_of(c) for c in itertools.combinations(range(g.n), size - 1))
+            smaller = next((w for w in below if not is_connected(g, full & ~w)), None)
         if smaller is None:
             return ConnectivityResult(size, x)
         x = smaller

@@ -310,6 +310,18 @@ class TestDepth:
         assert res == DepthResult(3, 0, ((-1, -1, -1), -1))
         assert reduced_betti(link(c, 0b111)).get(-1, 0) == 1
 
+    @pytest.mark.parametrize("kmax, kept", [(1, ["void", "empty"]), (2, ["void", "empty", "square"]),
+                                            (3, ["void", "empty", "square", "fan"])])
+    def test_skip_cones_up_to_the_starting_kmax(self, kmax, kept):
+        # the hollow triangle {0, 1, 2} with the edge {0, 3} is a cone over 0
+        # up to size 2, not up to size 3, where {0, 1, 2} is missing; every
+        # complex with a vertex is a cone up to size 1
+        square = from_faces(4, [0b0011, 0b0110, 0b1100, 0b1001]).faces
+        fan = from_faces(4, [0b0011, 0b0101, 0b0110, 0b1001]).faces
+        complexes = {"void": set(), "empty": {0}, "square": square, "fan": fan}
+        pruned = betti._skip_cones(lambda ga, kmax: iter(complexes.items()))
+        assert [key for key, _ in pruned(0, kmax)] == kept
+
 
 def _record_column_builds(monkeypatch) -> tuple[list[int], set[int]]:
     """Face sizes whose boundary columns get built, and sizes the scans read."""

@@ -37,6 +37,14 @@ from helpers import (induced_subgraph, kappa_by_ascending_scan, minimal_vertex_c
 C6 = construct_example("cycle", t=6)
 FIG1 = construct_example("figure1")
 K4 = construct_example("complete", t=4)
+# kappa 3: from s = 4, k = floor((n - s + 1) / 2) = 2, and the only
+# 3-separator {1, 4, 5} leaves {0, 2, 7} and {3, 6}, so only |C| = k finds it
+COMPONENT_BOUND = Graph.from_edges(8, [(0, 1), (0, 2), (0, 4), (0, 7), (1, 3), (1, 4), (1, 6), (1, 7), (2, 4), (2, 5),
+                                       (2, 7), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7)])
+# kappa 2: the only 2-separator {3, 5} leaves {0, 2, 4} and {1, 6, 7}, and ESU
+# reaches each through a child that keeps what is left of its parent's extension set
+CARRIED_EXTENSION = Graph.from_edges(8, [(0, 2), (0, 4), (0, 5), (1, 3), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (2, 5),
+                                         (3, 4), (3, 5), (3, 7), (5, 6), (5, 7), (6, 7)])
 
 
 def graph_strategy(n_max=9):
@@ -203,6 +211,13 @@ class TestConnectivity:
         if g.n <= BRUTE_FORCE_LIMIT:
             assert vertex_connectivity_bruteforce(g).kappa == expected
 
+    @staticmethod
+    def assert_witness(g, res):
+        assert (res.witness is None) == g.is_complete()
+        if res.witness is not None:
+            assert res.witness.bit_count() == res.kappa
+            assert not is_connected(g, g.full_mask & ~res.witness)
+
     def test_witness_contract(self):
         # kappa = delta on C6, FIG1 and K_{2,3}; below it in most pinned graphs
         graphs = [C6, FIG1, construct_example("bipartite", a=2, b=3), K4, Graph(1, (0,))]
@@ -210,11 +225,52 @@ class TestConnectivity:
             for scan in (vertex_connectivity, vertex_connectivity_bruteforce):
                 res = scan(g)
                 assert res.kappa == kappa_by_ascending_scan(g)
-                assert (res.witness is None) == g.is_complete()
-                if res.witness is not None:
-                    assert res.witness.bit_count() == res.kappa
-                    rest = g.full_mask & ~res.witness
-                    assert not is_connected(g, rest)
+                self.assert_witness(g, res)
+
+    @staticmethod
+    def record_component_side(monkeypatch) -> list:
+        calls = []
+        search = graphs._separator_by_components
+
+        def recording(g, size, k):
+            calls.append((size, k))
+            return search(g, size, k)
+
+        monkeypatch.setattr(graphs, "_separator_by_components", recording)
+        return calls
+
+    # brute-force kappa proves that no (s - 1)-separator exists from the
+    # vertex side where k = floor((n - s + 1) / 2) > s, else from the
+    # component side
+    @pytest.mark.parametrize("g, kappa, component_side", [
+        pytest.param(construct_example("cycle", t=8), 2, False, id="c8"),  # s = 2, k = 3
+        pytest.param(construct_example("path", t=7), 1, False, id="p7"),  # s = 1, k = 3
+        pytest.param(construct_example("bipartite", a=5, b=5), 5, True, id="k5,5"),  # s = 5, k = 3
+        pytest.param(C6, 2, True, id="c6"),  # s = 2, k = 2
+        pytest.param(COMPONENT_BOUND, 3, True, id="component_bound"),
+        pytest.param(CARRIED_EXTENSION, 2, True, id="carried_extension"),
+    ])
+    def test_bruteforce_sides(self, monkeypatch, g, kappa, component_side):
+        calls = self.record_component_side(monkeypatch)
+        res = vertex_connectivity_bruteforce(g)
+        assert bool(calls) == component_side
+        assert all(k == (g.n - size) // 2 <= size + 1 for size, k in calls)
+        assert res.kappa == kappa == kappa_by_ascending_scan(g)
+        self.assert_witness(g, res)
+
+    def test_bruteforce_on_dense_graphs(self, monkeypatch):
+        # where the component side runs: n = 8-12, p >= 0.6
+        calls = self.record_component_side(monkeypatch)
+        rng = random.Random(8)
+        component_side = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(8, 12), rng.choice((0.6, 0.7, 0.8, 0.9)))
+            before = len(calls)
+            res = vertex_connectivity_bruteforce(g)
+            assert res.kappa == kappa_by_ascending_scan(g), format_edge_list(g)
+            self.assert_witness(g, res)
+            component_side += len(calls) > before
+        assert component_side == 245  # the others are complete, or kappa is small
 
     @settings(max_examples=300, deadline=None)
     @given(graph_strategy(n_max=10).flatmap(lambda g: st.tuples(st.just(g), st.one_of(
