@@ -7,15 +7,12 @@ dim H^i_m(S/I)_a = dim H_{i-|G_a|-1}(Delta_a) in the n variables of S, where
 G_a = {j : a_j < 0}; for a squarefree I, Delta_a is the link of G_a.
 
 One scan computes every depth: G_a runs over faces by size, and a caller
-yields the degree complexes Delta_a for each.  The callers for ideals and
-second powers skip a Delta_a whose faces, truncated to the degrees that
-could lower the depth, form a cone over one of its vertices.  For a graph,
-Delta_a is the link of the clique G_a, the clique complex on its common
-neighbours, so graph_depth builds no ideal and filters no faces: it yields
-the cliques of that neighbourhood's strong-collapse core, which has the
-link's homology, and nothing where the core is one vertex.  A core of two
-or more vertices is never such a cone, since the apex would dominate every
-other vertex, so graph_depth tests none.
+yields the degree complexes Delta_a for each, which the scan ranks as they
+come.  For a graph, Delta_a is the link of the clique G_a, the clique
+complex on its common neighbours, so graph_depth builds no ideal and
+filters no faces: it yields the cliques of that neighbourhood's
+strong-collapse core, which has the link's homology, and nothing where the
+core is one vertex.
 
 The depths of S/I^(2) and S/I^2 for I = I(G^c) are read off Delta = Delta(G)
 itself, with no ideal built (Minh-Trung, "Cohen-Macaulayness of monomial
@@ -35,7 +32,8 @@ the vertices below v off N(v); where s spans an acyclic link, gluing
 changes nothing, so v's block starts as a copy of the blocks below it and
 only the cosets of links with homology are visited.  Their ranks are
 counts, except at a conflict, a subset where both have homology in one
-degree k >= 1, which is ranked on its strong-collapse core.  The sums per
+degree k >= 1, which is ranked on the cliques of its strong-collapse core,
+each distinct core once per table.  The sums per
 subset size are counted per coset, not summed per subset, and the last
 block, read by nothing, is not stored: the recurrence holds a list of
 2^(n-1) packed dimensions while it builds one table.  Vertex connectivity
@@ -58,7 +56,8 @@ from .complexes import (NONFACE_SCAN_LIMIT, SimplicialComplex, clique_complex, c
                         complex_from_squarefree_ideal, guard_clique_complex, guard_face_enumeration,
                         stanley_reisner_ideal)
 from .graphs import Graph, GuardError, bits, mask_of
-from .homology import GF2, FaceColumns, FieldSpec, betti_from_sizes, boundary_rank
+from .homology import GF2, FaceColumns, FieldSpec, betti_from_sizes, boundary_columns
+from .homology import boundary_rank  # noqa: F401  perfbench's tracer test patches this binding
 from .monomials import MonomialIdeal
 
 SUBSET_SCAN_LIMIT = 14
@@ -245,9 +244,9 @@ def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = F
     with no homology.  Any other conflict strips dominated vertices from x
     one at a time (a strong collapse, which keeps reduced homology over
     every field: Barmak-Minian, DCG 47, 2012).  A one-vertex core is
-    acyclic; any other is ranked on the clique complex's FaceColumns, built
-    at the first one: faces of size >= 3 only, as rank d_2 is |core| less
-    the components of g[core].
+    acyclic; any other is ranked on the boundary columns of its own
+    cliques.  Its reduced homology is that of every x it comes from, so a
+    core is ranked once per table and its packed dims reused.
 
     acc[j] sums dims[x] over |x| = j.  Block v adds to acc[j + 1] the old
     acc[j], plus (sum_k links_k C(|rest|, j - k)) << (2n + 1) for
@@ -261,8 +260,12 @@ def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = F
     1983): a least-degree vertex of what is left, the lowest on ties, takes
     the highest free label.  The top vertex of x then has few neighbours in
     x, so its cosets are few and large, and far fewer subsets conflict.
+
+    The subset guard and the clique complex's ceiling, which allow_large
+    does not lift, are checked before the scan starts.
     """
     guard_subset_scan(g.n, allow_large)
+    guard_clique_complex(g.n)
     n = g.n
     degree = [row.bit_count() for row in g.adj]  # in g less the labelled vertices
     left, label = list(range(n)), [0] * n
@@ -284,25 +287,18 @@ def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = F
     # lows + dims sets the top bit of each field >= 2 that is nonzero (a field is below 2^n)
     lows = sum(field_mask >> 1 << j * width for j in range(2, n + 2))
     tops = sum(1 << (j + 1) * width - 1 for j in range(2, n + 2))
-    faces = None
     acc = [1] + [0] * n  # acc[j]: the sum of dims[x] over the subsets x of size j so far
+    ranked: dict[int, int] = {}  # packed dims of each core ranked so far
 
-    def from_scratch(x: int, xd: int) -> int:
-        """Packed dims of x from its faces: fields 0 and 1 as in xd, ranks of faces of size >= 3."""
-        nonlocal faces
-        if faces is None:
-            faces = FaceColumns(clique_complex(Graph(n, tuple(adj))).faces_by_size(), field)
-        outside, size = ~x, x.bit_count()
-        edges = sum((adj[u] & x).bit_count() for u in bits(x)) >> 1
-        f = 1 + (size << width) + (edges << 2 * width)
-        r = (1 << width) + (size - 1 - (xd >> width & field_mask) << 2 * width)
-        for k in range(3, len(faces.by_size)):
-            new = [col for face, col in faces.columns(k).items() if face & outside == 0]
-            if not new:
-                break  # a size-(k+1) face in x contains a size-k one
-            f += len(new) << k * width
-            r += boundary_rank(new, field) << k * width
-        return f - r - (r >> width)
+    def from_scratch(core: int) -> int:
+        """Packed dims of a core, ranked on its own cliques; equal cores share one ranking."""
+        xd = ranked.get(core)
+        if xd is None:
+            groups = cliques_by_size(adj, core, n)
+            columns = [boundary_columns(group, below, field.characteristic)
+                       for below, group in zip([()] + groups, groups)]
+            xd = ranked[core] = sum(d << (ell + 1) * width for ell, d in betti_from_sizes(columns, field).items())
+        return xd
 
     dims = [1]  # the empty set: dim H_{-1} = 1
     for v in range(n):
@@ -361,7 +357,7 @@ def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = F
                             xd = 0  # nb = w: x is a cone on v
                         else:
                             core = _strong_core(w | base, closed)
-                            xd = from_scratch(core, xd) if core & core - 1 else 0
+                            xd = from_scratch(core) if core & core - 1 else 0
                     if xd != wd + shifted:  # the ranks' part; the links' part is counted below
                         fix[w.bit_count()] += xd - wd - shifted
                         if stored:
@@ -389,7 +385,9 @@ def _depth_scan(faces: FaceColumns, complexes) -> tuple[int, tuple]:
     count.  Depth is at most the largest face size, the dimension of S/I,
     and at least |G_a|, so the scan stops once |G_a| reaches the best depth
     found.  The witness (key, ell) is the first Delta_a that attains the
-    depth and its least nonzero degree.
+    depth and its least nonzero degree.  A Delta_a that is a cone up to size
+    kmax has no homology in the degrees read, so it never sets the depth or
+    the witness, and callers yield cones with no test.
     """
     best, witness = len(faces.by_size), None
     for size, group in enumerate(faces.by_size):
@@ -410,23 +408,6 @@ def _depth_scan(faces: FaceColumns, complexes) -> tuple[int, tuple]:
                     best = size + 1 + min(dims)
                     witness = (key, min(dims))
     return best, witness
-
-
-def _skip_cones(complexes):
-    """complexes, less each Delta_a whose degrees ell <= kmax - 2 vanish because it is a cone there.
-
-    They vanish if some vertex v joins every face with fewer than kmax
-    vertices: the faces of size <= kmax then hold the cone over v up to that
-    size.  The test uses the kmax that complexes(ga, kmax) starts with; a
-    cone up to it is a cone up to any smaller kmax the scan reaches later.
-    """
-    def pruned(ga: int, kmax: int):
-        for key, selected in complexes(ga, kmax):
-            lower = [f for f in selected if f.bit_count() < kmax]
-            vertices = [f for f in selected if f.bit_count() == 1]
-            if not any(all(f | v in selected for f in lower) for v in vertices):
-                yield key, selected
-    return pruned
 
 
 def _takayama_depth(c: SimplicialComplex, ideal: MonomialIdeal, field: FieldSpec) -> DepthResult:
@@ -469,7 +450,7 @@ def _takayama_depth(c: SimplicialComplex, ideal: MonomialIdeal, field: FieldSpec
             if 0 not in masks:
                 yield a, {f for f in link if all(f & m != m for m in masks)}
 
-    depth, witness = _depth_scan(faces, _skip_cones(complexes))
+    depth, witness = _depth_scan(faces, complexes)
     free = forced.bit_count()
     return DepthResult(free + depth, n - free - depth, witness)
 
@@ -627,7 +608,7 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
                     stack.append((grown, i + 1, child))
 
     free = g.n - m
-    return free + _depth_scan(faces, _skip_cones(symbolic))[0], free + _depth_scan(faces, _skip_cones(square))[0]
+    return free + _depth_scan(faces, symbolic)[0], free + _depth_scan(faces, square)[0]
 
 
 def kappa_from_table(table: BettiTable) -> int:
@@ -642,7 +623,7 @@ def kappa_from_table(table: BettiTable) -> int:
 
 
 def kappa_via_betti(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) -> int:
-    """Vertex connectivity read off the linear strand of graph_betti_table, under its subset guard."""
+    """Vertex connectivity read off the linear strand of graph_betti_table, under its guards."""
     if g.n == 0:
         raise ValueError("vertex connectivity of the empty graph is undefined")
     return kappa_from_table(graph_betti_table(g, field, allow_large=allow_large))

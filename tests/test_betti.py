@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 import time
 
@@ -24,6 +26,7 @@ from srdepth.betti import (
     second_power_depths,
 )
 from srdepth.complexes import (
+    CLIQUE_COMPLEX_LIMIT,
     NONFACE_SCAN_LIMIT,
     SimplicialComplex,
     clique_complex,
@@ -137,15 +140,6 @@ def split_complexes() -> list[tuple[SimplicialComplex, dict]]:
     return [(c, oracle_hochster_table(c.n, masks_to_tuples(c.faces))) for c in complexes]
 
 
-def _column_support(col) -> int:
-    """Nonzero rows of a boundary column in any field's form: the size of its face."""
-    if isinstance(col, int):
-        return col.bit_count()
-    if isinstance(col, tuple):
-        return (col[0] | col[1]).bit_count()
-    return len(col)
-
-
 class TestHochsterWalk:
     """graded_betti_table's Hochster sum and graph_betti_table against the sympy Hochster sum."""
 
@@ -207,7 +201,7 @@ class TestHochsterWalk:
 
 
 def _record_ranks(monkeypatch) -> tuple[list, list]:
-    """Record the FaceColumns each table builds and every column it hands to boundary_rank or betti_from_sizes."""
+    """Record the FaceColumns each table builds and every column it hands to betti_from_sizes."""
     built, reduced = [], []
 
     class Recording(homology.FaceColumns):
@@ -215,16 +209,11 @@ def _record_ranks(monkeypatch) -> tuple[list, list]:
             super().__init__(*args)
             built.append(self)
 
-    def recording_rank(columns, field):
-        reduced.extend(columns)
-        return homology.boundary_rank(columns, field)
-
     def recording_sizes(columns_by_size, *args):
         reduced.extend(col for group in columns_by_size for col in group)
         return homology.betti_from_sizes(columns_by_size, *args)
 
     monkeypatch.setattr(betti, "FaceColumns", Recording)
-    monkeypatch.setattr(betti, "boundary_rank", recording_rank)
     monkeypatch.setattr(betti, "betti_from_sizes", recording_sizes)
     return built, reduced
 
@@ -240,6 +229,25 @@ def _record_cores(monkeypatch) -> list[tuple[int, list[int], int]]:
 
     monkeypatch.setattr(betti, "_strong_core", recording_core)
     return cores
+
+
+def _record_rankings(monkeypatch) -> list[list[int]]:
+    """Record, for each betti_from_sizes call, the faces whose boundary columns were built for it."""
+    faces, rankings = [], []
+    build, rank = betti.boundary_columns, betti.betti_from_sizes
+
+    def recording_build(faces_k, *args):
+        faces.extend(faces_k)
+        return build(faces_k, *args)
+
+    def recording_rank(*args):
+        rankings.append(faces[:])
+        faces.clear()
+        return rank(*args)
+
+    monkeypatch.setattr(betti, "boundary_columns", recording_build)
+    monkeypatch.setattr(betti, "betti_from_sizes", recording_rank)
+    return rankings
 
 
 def _columns_on(faces: homology.FaceColumns, u: int) -> set[int]:
@@ -259,6 +267,13 @@ class TestGraphBettiTable:
         with pytest.raises(GuardError):
             graph_betti_table(big)
         assert graph_betti_table(big, allow_large=True).entries == {(0, 0): 1}
+
+    def test_clique_guard_before_the_scan(self):
+        # with no edges nothing is ranked, so only the guard at the top refuses n = 25
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="clique complex"):
+            graph_betti_table(Graph.from_edges(CLIQUE_COMPLEX_LIMIT + 1, []), allow_large=True)
+        assert time.perf_counter() - start < 1
 
 
 class TestDepth:
@@ -309,18 +324,6 @@ class TestDepth:
         res = depth_stanley_reisner(c)
         assert res == DepthResult(3, 0, ((-1, -1, -1), -1))
         assert reduced_betti(link(c, 0b111)).get(-1, 0) == 1
-
-    @pytest.mark.parametrize("kmax, kept", [(1, ["void", "empty"]), (2, ["void", "empty", "square"]),
-                                            (3, ["void", "empty", "square", "fan"])])
-    def test_skip_cones_up_to_the_starting_kmax(self, kmax, kept):
-        # the hollow triangle {0, 1, 2} with the edge {0, 3} is a cone over 0
-        # up to size 2, not up to size 3, where {0, 1, 2} is missing; every
-        # complex with a vertex is a cone up to size 1
-        square = from_faces(4, [0b0011, 0b0110, 0b1100, 0b1001]).faces
-        fan = from_faces(4, [0b0011, 0b0101, 0b0110, 0b1001]).faces
-        complexes = {"void": set(), "empty": {0}, "square": square, "fan": fan}
-        pruned = betti._skip_cones(lambda ga, kmax: iter(complexes.items()))
-        assert [key for key, _ in pruned(0, kmax)] == kept
 
 
 def _record_column_builds(monkeypatch) -> tuple[list[int], set[int]]:
@@ -475,6 +478,12 @@ RANKED_CONFLICT = Graph.from_edges(9, [
     (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2), (1, 4), (1, 5), (1, 6), (1, 8), (2, 3),
     (2, 4), (2, 5), (2, 8), (3, 4), (3, 5), (3, 6), (3, 7), (4, 6), (4, 7), (5, 7), (6, 7), (6, 8), (7, 8)])
 
+# a G(9, 0.6) from a seeded search: of its four ranked conflicts two share a
+# core, and two of its three cores have 8 vertices but different homology
+SHARED_CORES = Graph.from_edges(9, [
+    (0, 2), (0, 3), (0, 4), (0, 5), (0, 7), (1, 2), (1, 4), (1, 6), (1, 8), (2, 4), (2, 5), (2, 8), (3, 4),
+    (3, 5), (3, 7), (4, 6), (4, 7), (5, 6), (5, 8), (6, 7), (6, 8), (7, 8)])
+
 
 @st.composite
 def recurrence_graphs(draw):
@@ -532,21 +541,43 @@ class TestMayerVietoris:
 
     @FOUR_FIELDS
     def test_conflict_core_ranks_its_faces(self, monkeypatch, field, ranked_conflict_oracle):
-        # some conflict's strong-collapse core has faces of size 3, so it is
-        # ranked there, on faces of size >= 3 only, with the columns built once
+        # some conflict's strong-collapse core keeps faces of size 3; each
+        # distinct core is ranked once, on the columns of its own cliques,
+        # and no FaceColumns is built
         built, reduced = _record_ranks(monkeypatch)
         cores = _record_cores(monkeypatch)
+        rankings = _record_rankings(monkeypatch)
         assert graph_betti_table(RANKED_CONFLICT, field).entries == ranked_conflict_oracle
-        assert len(built) == 1 and reduced
-        assert min(_column_support(col) for col in reduced) == 3
+        assert not built and reduced
+        ranked = [(x, closed, core) for x, closed, core in cores if core.bit_count() > 1]
+        distinct = {core for _, _, core in ranked}
+        assert len(rankings) == len(distinct)
+        closed = cores[0][1]  # the relabelled graph's closed neighbourhoods
+        for faces in rankings:
+            core = functools.reduce(operator.or_, faces)
+            assert core in distinct
+            assert sorted(faces) == [f for f in betti._submasks(core) if all(closed[u] & f == f for u in bits(f))]
+        assert max(f.bit_count() for faces in rankings for f in faces) >= 3
         # each core lies in its subset, some core is a proper part of it, and
         # no vertex of a core is dominated there (tested pair by pair)
-        ranked = [(x, closed, core) for x, closed, core in cores if core.bit_count() > 1]
         assert ranked and any(core != x for x, _, core in ranked)
         for x, closed, core in ranked:
             assert core & ~x == 0
             for u, other in itertools.permutations(bits(core), 2):
                 assert closed[u] & core & ~closed[other]
+
+    @FOUR_FIELDS
+    def test_equal_cores_share_one_ranking(self, monkeypatch, field):
+        # one core is reached twice and ranked once; two other cores have 8
+        # vertices each and different homology, so each needs its own ranks
+        expected = graded_betti_table(clique_complex(SHARED_CORES), field)
+        cores = _record_cores(monkeypatch)
+        rankings = _record_rankings(monkeypatch)
+        assert graph_betti_table(SHARED_CORES, field) == expected
+        ranked = [core for _, _, core in cores if core.bit_count() > 1]
+        assert len(rankings) == len(set(ranked)) < len(ranked)
+        sizes = [core.bit_count() for core in set(ranked)]
+        assert len(set(sizes)) < len(sizes)
 
     @pytest.mark.parametrize("field", [GF2, GF3], ids=["GF2", "GF3"])
     def test_matches_hochster_sum_at_benchmark_sizes(self, field):
