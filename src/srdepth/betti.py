@@ -530,6 +530,11 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
       neighbours of T in G^c, so with B = A & N and C = A - T - N, x^a is in
       it iff |B| >= 2, or B is not empty and C spans an edge of G^c, or
       G^c[C] has two disjoint edges.
+
+    I^(2) = I^2 + (the triangles of G^c) (Sullivant, "Combinatorial symbolic
+    powers", J. Algebra 319, 2008), so where G^c has no triangle the two
+    quotients are one ring: the symbolic depth is returned for both, and the
+    square is scanned only where G^c has a triangle.
     """
     gc = g.complement()
     support = mask_of(v for v in range(g.n) if gc.adj[v])
@@ -550,13 +555,6 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
             low = f & -f
             nbr[f] = nbr[f ^ low] | hc[low.bit_length() - 1]
     facets = [f for f in c.faces if f and not full & ~nbr[f] & ~f]
-    # edge[s], matched[s]: G^c restricted to s has an edge, two disjoint edges
-    edge, matched = bytearray(1 << m), bytearray(1 << m)
-    for s in range(1, 1 << m):
-        low = s & -s
-        r, nb = s ^ low, hc[low.bit_length() - 1] & s
-        edge[s] = edge[r] or nb != 0
-        matched[s] = matched[r] or any(edge[r & ~(1 << u)] for u in bits(nb))
 
     def symbolic(ga: int, kmax: int):
         star = [f for f in facets if f & ga == ga]
@@ -576,6 +574,18 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
             if common:
                 continue  # a cone
             yield a, {sub for s in family for sub in _submasks(s)}
+
+    free = g.n - m
+    depth_symbolic = free + _depth_scan(faces, symbolic)[0]
+    if not any(hc[u] & hc[v] for u in range(m) for v in bits(hc[u])):
+        return depth_symbolic, depth_symbolic  # G^c has no triangle: I^(2) = I^2
+    # edge[s], matched[s]: G^c restricted to s has an edge, two disjoint edges
+    edge, matched = bytearray(1 << m), bytearray(1 << m)
+    for s in range(1, 1 << m):
+        low = s & -s
+        r, nb = s ^ low, hc[low.bit_length() - 1] & s
+        edge[s] = edge[r] or nb != 0
+        matched[s] = matched[r] or any(edge[r & ~(1 << u)] for u in bits(nb))
 
     def square(ga: int, kmax: int):
         # the neighbours of G_a in G^c lie in N for every T, so A holds at
@@ -607,8 +617,7 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
                 if child:  # else Delta_a is void, and so is every larger support's
                     stack.append((grown, i + 1, child))
 
-    free = g.n - m
-    return free + _depth_scan(faces, symbolic)[0], free + _depth_scan(faces, square)[0]
+    return depth_symbolic, free + _depth_scan(faces, square)[0]
 
 
 def kappa_from_table(table: BettiTable) -> int:

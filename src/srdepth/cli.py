@@ -8,8 +8,10 @@ check fails, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
+import shutil
 import sys
 from pathlib import Path
 from typing import Callable, Optional
@@ -268,10 +270,16 @@ def _verb(sub, name: str, func, help: str, formats: tuple[str, ...], *,
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sr-depth",
+    """The whole parser, built anew on every call.  argparse makes a
+    HelpFormatter for every option it adds, and each one reads the terminal
+    size; here it is read once, and every parser formats at that width, as
+    HelpFormatter's own default does."""
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(prog="sr-depth", formatter_class=formatter,
                                      description="Exact depth/connectivity invariants of "
                                                  "clique complexes and edge ideals")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
     text_json, with_csv = ("text", "json"), ("text", "json", "csv")
     timings_help = "include timings in JSON reports"
 

@@ -120,6 +120,43 @@ class TestParserSurface:
         assert err.startswith("usage:") and f"argument {flag}: must be >= {floor}, got {below}" in err
 
 
+GOLDEN_HELP = json.loads((Path(__file__).parent / "golden_help.json").read_text())
+
+# Every help page, one usage error per verb from its own subparser, and the
+# top parser's usage errors.
+HELP_ARGV = ([["--help"]] + [[verb, "--help"] for verb in [*sorted(BASE_ARGV), "example"]]
+             + [[verb, "--format", "xml"] for verb in [*sorted(BASE_ARGV), "example"]]
+             + [[], ["bogus"], ["powers", "--bogus"], ["verify", "--field", "x"]])
+
+
+def help_output(capsys, argv: list[str]) -> dict:
+    """Exit status, stdout and stderr of sr-depth argv, all of which argparse writes."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    return {"exit": exc.value.code, "stdout": out.out, "stderr": out.err}
+
+
+class TestHelpGoldens:
+    """Help and usage text, byte for byte, at two terminal widths (tests/golden_help.json)."""
+
+    @pytest.mark.parametrize("columns", sorted(GOLDEN_HELP))
+    @pytest.mark.parametrize("argv", HELP_ARGV, ids=[" ".join(["sr-depth", *a]) for a in HELP_ARGV])
+    def test_matches_golden(self, capsys, monkeypatch, columns, argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        expected = GOLDEN_HELP[columns][" ".join(["sr-depth", *argv])]
+        assert help_output(capsys, argv) == expected
+        assert expected["exit"] == (0 if "--help" in argv else 2)
+
+    def test_widths_differ(self):
+        assert sorted(GOLDEN_HELP) == ["120", "60"]
+        narrow, wide = GOLDEN_HELP["60"], GOLDEN_HELP["120"]
+        assert narrow.keys() == wide.keys() == {" ".join(["sr-depth", *a]) for a in HELP_ARGV}
+        for key in narrow:
+            if "--help" in key:
+                assert narrow[key]["stdout"].count("\n") > wide[key]["stdout"].count("\n"), key
+
+
 class TestResolveExample:
     @pytest.mark.parametrize("name,expected", [
         ("c6", construct_example("cycle", t=6)),
