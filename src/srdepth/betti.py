@@ -8,11 +8,11 @@ G_a = {j : a_j < 0}; for a squarefree I, Delta_a is the link of G_a.
 
 One scan computes every depth: G_a runs over faces by size, and a caller
 yields the degree complexes Delta_a for each, which the scan ranks as they
-come.  For a graph, Delta_a is the link of the clique G_a, the clique
-complex on its common neighbours, so graph_depth builds no ideal and
-filters no faces: it yields the cliques of that neighbourhood's
-strong-collapse core, which has the link's homology, and nothing where the
-core is one vertex.
+come, each on its own faces.  For a graph, Delta_a is the link of the
+clique G_a, the clique complex on its common neighbours, so graph_depth
+builds no ideal and filters no faces: it yields the cliques of that
+neighbourhood's strong-collapse core, which has the link's homology, and
+nothing where the core is one vertex.
 
 The depths of S/I^(2) and S/I^2 for I = I(G^c) are read off Delta = Delta(G)
 itself, with no ideal built (Minh-Trung, "Cohen-Macaulayness of monomial
@@ -52,11 +52,10 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .complexes import (NONFACE_SCAN_LIMIT, SimplicialComplex, clique_complex, cliques_by_size,
-                        complex_from_squarefree_ideal, guard_clique_complex, guard_face_enumeration,
-                        stanley_reisner_ideal)
+from .complexes import (NONFACE_SCAN_LIMIT, SimplicialComplex, cliques_by_size, complex_from_squarefree_ideal,
+                        guard_clique_complex, guard_face_enumeration, stanley_reisner_ideal)
 from .graphs import Graph, GuardError, bits, mask_of
-from .homology import GF2, FaceColumns, FieldSpec, betti_from_sizes, boundary_columns
+from .homology import GF2, FieldSpec, betti_from_sizes
 from .homology import boundary_rank  # noqa: F401  perfbench's tracer test patches this binding
 from .monomials import MonomialIdeal
 
@@ -148,13 +147,13 @@ def graded_betti_table(c: SimplicialComplex, field: FieldSpec = GF2, *,
 
     A vertex of W in no minimal non-face inside W makes Delta|_W a cone, with
     no reduced homology, so only the W those non-faces cover are ranked, each
-    on the columns of its own faces.
+    on its own faces.
     """
     if c.is_void:
         raise ValueError("the void complex has no Betti table")
     guard_subset_scan(c.n, allow_large)
     gen_masks = stanley_reisner_ideal(c).support_masks()
-    faces = FaceColumns(c.faces_by_size(), field)
+    by_size = c.faces_by_size()
     entries: dict[tuple[int, int], int] = {}
     for w in range(1 << c.n):
         outside, cover = ~w, 0
@@ -163,14 +162,14 @@ def graded_betti_table(c: SimplicialComplex, field: FieldSpec = GF2, *,
                 cover |= gm
         if cover != w:
             continue
-        columns = []
-        for k in range(len(faces.by_size)):
-            group = [col for f, col in faces.columns(k).items() if f & outside == 0]
+        inside = []
+        for group in by_size:
+            group = [f for f in group if f & outside == 0]
             if not group:
                 break  # a size-(k+1) face inside w contains a size-k one
-            columns.append(group)
+            inside.append(group)
         j = w.bit_count()
-        for ell, d in betti_from_sizes(columns, field).items():
+        for ell, d in betti_from_sizes(inside, field).items():
             key = (j - ell - 1, j)
             entries[key] = entries.get(key, 0) + d
     return BettiTable(c.n, entries)
@@ -244,9 +243,9 @@ def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = F
     with no homology.  Any other conflict strips dominated vertices from x
     one at a time (a strong collapse, which keeps reduced homology over
     every field: Barmak-Minian, DCG 47, 2012).  A one-vertex core is
-    acyclic; any other is ranked on the boundary columns of its own
-    cliques.  Its reduced homology is that of every x it comes from, so a
-    core is ranked once per table and its packed dims reused.
+    acyclic; any other is ranked on its own cliques.  Its reduced homology
+    is that of every x it comes from, so a core is ranked once per table
+    and its packed dims reused.
 
     acc[j] sums dims[x] over |x| = j.  Block v adds to acc[j + 1] the old
     acc[j], plus (sum_k links_k C(|rest|, j - k)) << (2n + 1) for
@@ -294,10 +293,8 @@ def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = F
         """Packed dims of a core, ranked on its own cliques; equal cores share one ranking."""
         xd = ranked.get(core)
         if xd is None:
-            groups = cliques_by_size(adj, core, n)
-            columns = [boundary_columns(group, below, field.characteristic)
-                       for below, group in zip([()] + groups, groups)]
-            xd = ranked[core] = sum(d << (ell + 1) * width for ell, d in betti_from_sizes(columns, field).items())
+            found = betti_from_sizes(cliques_by_size(adj, core, n), field)
+            xd = ranked[core] = sum(d << (ell + 1) * width for ell, d in found.items())
         return xd
 
     dims = [1]  # the empty set: dim H_{-1} = 1
@@ -375,22 +372,23 @@ def graph_betti_table(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = F
     return _unpack(n, acc, width)
 
 
-def _depth_scan(faces: FaceColumns, complexes) -> tuple[int, tuple]:
-    """Least |G_a| + 1 + ell with H_ell(Delta_a) != 0, G_a over the faces of a complex by size.
+def _depth_scan(by_size: Sequence[Sequence[int]], field: FieldSpec, complexes) -> tuple[int, tuple]:
+    """Least |G_a| + 1 + ell with H_ell(Delta_a) != 0, G_a over a complex's faces grouped by size.
 
     complexes(ga, kmax) yields (key, faces) for the degrees a with negative
     part ga, the faces of Delta_a or of a complex with its reduced homology,
     as a set that may leave out those of size over kmax.  Only degrees
-    ell <= kmax - 2 can beat the best depth, so only faces of size <= kmax
-    count.  Depth is at most the largest face size, the dimension of S/I,
-    and at least |G_a|, so the scan stops once |G_a| reaches the best depth
-    found.  The witness (key, ell) is the first Delta_a that attains the
-    depth and its least nonzero degree.  A Delta_a that is a cone up to size
-    kmax has no homology in the degrees read, so it never sets the depth or
-    the witness, and callers yield cones with no test.
+    ell <= kmax - 2 can beat the best depth, so each Delta_a is ranked on
+    its faces of size <= kmax alone.  Depth is at most the largest face
+    size, the dimension of S/I, and at least |G_a|, so the scan stops once
+    |G_a| reaches the best depth found.  The witness (key, ell) is the
+    first Delta_a that attains the depth and its least nonzero degree.  A
+    Delta_a that is a cone up to size kmax has no homology in the degrees
+    read, so it never sets the depth or the witness, and callers yield
+    cones with no test.
     """
-    best, witness = len(faces.by_size), None
-    for size, group in enumerate(faces.by_size):
+    best, witness = len(by_size), None
+    for size, group in enumerate(by_size):
         if size >= best:
             break
         for ga in group:
@@ -402,8 +400,7 @@ def _depth_scan(faces: FaceColumns, complexes) -> tuple[int, tuple]:
                         grouped[f.bit_count()].append(f)
                 while not grouped[-1]:
                     grouped.pop()  # the empty face is always selected
-                columns = [[cols[f] for f in fs] for fs, cols in zip(grouped, map(faces.columns, range(len(grouped))))]
-                dims = betti_from_sizes(columns, faces.field, -1, kmax - 2)
+                dims = betti_from_sizes(grouped, field, -1, kmax - 2)
                 if dims:
                     best = size + 1 + min(dims)
                     witness = (key, min(dims))
@@ -427,7 +424,7 @@ def _takayama_depth(c: SimplicialComplex, ideal: MonomialIdeal, field: FieldSpec
         return DepthResult(n, 0, ((-1,) * n, -1))
     rho = ideal.max_exponents()
     forced = mask_of(j for j in range(n) if rho[j] == 0)  # x_j in no generator: a_j < 0
-    faces = FaceColumns([[f for f in group if f & forced == 0] for group in c.faces_by_size()], field)
+    by_size = [[f for f in group if f & forced == 0] for group in c.faces_by_size()]
     # levels[i][t]: the variables where generator i exceeds t, so a mask is the
     # sum over t of levels[i][t] & {j : a_j = t}; a squarefree ideal reads links only
     top = max(rho)
@@ -436,7 +433,7 @@ def _takayama_depth(c: SimplicialComplex, ideal: MonomialIdeal, field: FieldSpec
 
     def complexes(ga: int, kmax: int):
         neg = ga | forced
-        link = {f for group in faces.by_size[: kmax + 1] for f in group if f & ga == 0 and f | ga in c.faces}
+        link = {f for group in by_size[: kmax + 1] for f in group if f & ga == 0 and f | ga in c.faces}
         vary = [j for j in range(n) if rho[j] > 1 and not neg >> j & 1]
         for values in itertools.product(*(range(rho[j]) for j in vary)):
             raised = dict(zip(vary, values))
@@ -450,7 +447,7 @@ def _takayama_depth(c: SimplicialComplex, ideal: MonomialIdeal, field: FieldSpec
             if 0 not in masks:
                 yield a, {f for f in link if all(f & m != m for m in masks)}
 
-    depth, witness = _depth_scan(faces, complexes)
+    depth, witness = _depth_scan(by_size, field, complexes)
     free = forced.bit_count()
     return DepthResult(free + depth, n - free - depth, witness)
 
@@ -483,7 +480,7 @@ def graph_depth(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) 
     if forced == full:
         return DepthResult(n, 0, ((-1,) * n, -1))
     others = full & ~forced
-    faces = FaceColumns([sorted(group) for group in cliques_by_size(adj, others, n)], field)
+    by_size = [sorted(group) for group in cliques_by_size(adj, others, n)]
     closed = [row | 1 << v for v, row in enumerate(adj)]
 
     def complexes(ga: int, kmax: int):
@@ -500,7 +497,7 @@ def graph_depth(g: Graph, field: FieldSpec = GF2, *, allow_large: bool = False) 
         core = itertools.chain.from_iterable(cliques_by_size(adj, common, kmax))
         yield tuple(-(neg >> j & 1) for j in range(n)), set(core)
 
-    depth, witness = _depth_scan(faces, complexes)
+    depth, witness = _depth_scan(by_size, field, complexes)
     free = forced.bit_count()
     return DepthResult(free + depth, n - free - depth, witness)
 
@@ -546,15 +543,13 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
     h = Graph.from_edges(m, [(index[u], index[v]) for u, v in g.edges() if support >> u & support >> v & 1])
     hc = h.complement().adj
     full = h.full_mask
-    c = clique_complex(h)
-    by_size = c.faces_by_size()
-    faces = FaceColumns(by_size, field)
+    by_size = [sorted(group) for group in cliques_by_size(h.adj, full, m)]
     nbr = {0: 0}  # a clique's neighbours in G^c, none of them inside it
     for group in by_size[1:]:
         for f in group:
             low = f & -f
             nbr[f] = nbr[f ^ low] | hc[low.bit_length() - 1]
-    facets = [f for f in c.faces if f and not full & ~nbr[f] & ~f]
+    facets = [f for group in by_size[1:] for f in group if not full & ~nbr[f] & ~f]
 
     def symbolic(ga: int, kmax: int):
         star = [f for f in facets if f & ga == ga]
@@ -576,7 +571,7 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
             yield a, {sub for s in family for sub in _submasks(s)}
 
     free = g.n - m
-    depth_symbolic = free + _depth_scan(faces, symbolic)[0]
+    depth_symbolic = free + _depth_scan(by_size, field, symbolic)[0]
     if not any(hc[u] & hc[v] for u in range(m) for v in bits(hc[u])):
         return depth_symbolic, depth_symbolic  # G^c has no triangle: I^(2) = I^2
     # edge[s], matched[s]: G^c restricted to s has an edge, two disjoint edges
@@ -617,7 +612,7 @@ def second_power_depths(g: Graph, field: FieldSpec = GF2, *, allow_large: bool =
                 if child:  # else Delta_a is void, and so is every larger support's
                     stack.append((grown, i + 1, child))
 
-    return depth_symbolic, free + _depth_scan(faces, square)[0]
+    return depth_symbolic, free + _depth_scan(by_size, field, square)[0]
 
 
 def kappa_from_table(table: BettiTable) -> int:

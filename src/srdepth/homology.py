@@ -11,12 +11,10 @@ bitsliced (Boothby-Bradshaw, arXiv:0901.1413), and other fields use sparse
 {row: coefficient} dicts, eliminated fraction-free on integers over the
 rationals (Bareiss, Math. Comp. 22, 1968).
 
-``FaceColumns`` builds each face's boundary column once per complex, the
-first time a scan reads its size, with rows indexed in the whole complex's
-group of faces one vertex smaller.  A subcomplex (the faces inside a vertex
-set, possibly minus those containing given masks) selects its columns as
-they are: every row such a column touches is a face of the subcomplex, so
-no column is rebuilt per subcomplex.
+Faces reach the kernels one way: ``betti_from_sizes`` takes a complex's
+faces grouped by size and builds the boundary columns of each size whose
+rank its degree window needs, with rows indexed in the complex's own group
+of faces one vertex smaller.
 """
 
 from __future__ import annotations
@@ -180,23 +178,6 @@ def boundary_columns(faces_k: Sequence[int], faces_km1: Sequence[int], character
     return cols
 
 
-class FaceColumns:
-    """Faces of one complex grouped by size, with boundary columns built per size on first read."""
-
-    def __init__(self, faces_by_size: Sequence[Sequence[int]], field: FieldSpec) -> None:
-        self.by_size = faces_by_size
-        self.field = field
-        self._columns: dict[int, dict] = {}
-
-    def columns(self, k: int) -> dict:
-        """Boundary column of each size-k face, keyed by the face; rows index the size-(k-1) faces."""
-        cols = self._columns.get(k)
-        if cols is None:
-            group, below = self.by_size[k], self.by_size[k - 1] if k else ()
-            cols = self._columns[k] = dict(zip(group, boundary_columns(group, below, self.field.characteristic)))
-        return cols
-
-
 def boundary_rank(columns: Sequence, field: FieldSpec) -> int:
     """Rank of the columns in the field's kernel."""
     if not columns:
@@ -209,29 +190,31 @@ def boundary_rank(columns: Sequence, field: FieldSpec) -> int:
     return rank_sparse(columns, p)
 
 
-def betti_from_sizes(columns_by_size: Sequence[Sequence], field: FieldSpec,
+def betti_from_sizes(faces_by_size: Sequence[Sequence[int]], field: FieldSpec,
                      ell_lo: int = -1, ell_hi: Optional[int] = None) -> dict[int, int]:
-    """Reduced homology dimensions from boundary columns grouped by face size.
+    """Reduced homology dimensions of a complex from its face masks grouped by size.
 
-    f_k is the length of group k.  Only degrees in [ell_lo, ell_hi] are
-    computed; dim H_ell equals f_{ell+1} - rank d_{ell+1} - rank d_{ell+2}.
-    d_1 maps every vertex to the empty face, so its rank is 1 if there is a
-    vertex, with no elimination.
+    Group k holds the size-k faces, f_k of them, and every subset of a face
+    is in its group.  Only degrees in [ell_lo, ell_hi] are computed; dim
+    H_ell equals f_{ell+1} - rank d_{ell+1} - rank d_{ell+2}, and only the
+    boundary columns of those ranks are built.  d_1 maps every vertex to the
+    empty face, so its rank is 1 if there is a vertex, with no elimination.
     """
-    top = len(columns_by_size) - 1
+    top = len(faces_by_size) - 1
     if ell_hi is None:
         ell_hi = top - 1
     ell_hi = min(ell_hi, top - 1)
     if ell_hi < ell_lo:
         return {}
+    p = field.characteristic
     ranks: dict[int, int] = {}
     for k in range(max(ell_lo + 1, 1), min(ell_hi + 2, top) + 1):
-        ranks[k] = boundary_rank(columns_by_size[k], field) if k > 1 else min(len(columns_by_size[1]), 1)
+        ranks[k] = (boundary_rank(boundary_columns(faces_by_size[k], faces_by_size[k - 1], p), field) if k > 1
+                    else min(len(faces_by_size[1]), 1))
     dims = {}
     for ell in range(ell_lo, ell_hi + 1):
         k = ell + 1
-        d = len(columns_by_size[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        d = len(faces_by_size[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         if d:
             dims[ell] = d
     return dims
-

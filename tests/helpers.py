@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 from srdepth.betti import guard_polarized_scan
 from srdepth.complexes import SimplicialComplex, guard_face_enumeration
 from srdepth.graphs import Graph, bits, mask_of
-from srdepth.homology import GF2, FaceColumns, FieldSpec, betti_from_sizes
+from srdepth.homology import GF2, FieldSpec, betti_from_sizes
 from srdepth.monomials import (Monomial, MonomialIdeal, divides, minimalize, monomial_from_mask, mul, power,
                                symbolic_power)
 
@@ -70,11 +70,7 @@ def is_cone(c: SimplicialComplex) -> Optional[int]:
 
 def reduced_betti(c: SimplicialComplex, field: FieldSpec = GF2) -> dict[int, int]:
     """Nonzero reduced Betti numbers by degree; void -> {}, {emptyset} -> {-1: 1}."""
-    if c.is_void:
-        return {}
-    faces = FaceColumns(c.faces_by_size(), field)
-    grouped = [list(faces.columns(k).values()) for k in range(len(faces.by_size))]
-    return betti_from_sizes(grouped, field)
+    return betti_from_sizes(c.faces_by_size(), field)
 
 
 def edge_ideal(g: Graph) -> MonomialIdeal:

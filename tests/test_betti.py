@@ -175,12 +175,11 @@ class TestHochsterWalk:
         g = random_graph(rng, 9, 0.5)
         g = Graph.from_edges(9, g.edges() + [tuple(sorted((u, v))) for v in range(9) if v != u])
         expected = oracle_betti_table(g)
-        built, reduced = _record_ranks(monkeypatch)
-        assert graded_betti_table(clique_complex(g), RATIONAL).entries == expected
-        (faces,) = built
-        on_u = _columns_on(faces, u)
-        assert on_u and reduced
-        assert not any(id(col) in on_u for col in reduced)
+        c = clique_complex(g)
+        ranks = _record_ranks(monkeypatch)
+        assert graded_betti_table(c, RATIONAL).entries == expected
+        assert 1 << u in c.faces and ranks
+        assert not any(f >> u & 1 for groups in ranks for group in groups for f in group)
 
     @pytest.mark.parametrize("field", [RATIONAL, GF2, GF3], ids=["QQ", "GF2", "GF3"])
     def test_counts_fill_their_fields(self, field):
@@ -201,22 +200,16 @@ class TestHochsterWalk:
         assert max(expected.values()) == 7 * 3003 == 21021 > 1 << 14
 
 
-def _record_ranks(monkeypatch) -> tuple[list, list]:
-    """Record the FaceColumns each table builds and every column it hands to betti_from_sizes."""
-    built, reduced = [], []
+def _record_ranks(monkeypatch) -> list[list[list[int]]]:
+    """Record the face groups handed to each betti_from_sizes call, the only way betti reaches columns."""
+    ranks, rank = [], betti.betti_from_sizes
 
-    class Recording(homology.FaceColumns):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
+    def recording(faces_by_size, *args):
+        ranks.append(faces_by_size)
+        return rank(faces_by_size, *args)
 
-    def recording_sizes(columns_by_size, *args):
-        reduced.extend(col for group in columns_by_size for col in group)
-        return homology.betti_from_sizes(columns_by_size, *args)
-
-    monkeypatch.setattr(betti, "FaceColumns", Recording)
-    monkeypatch.setattr(betti, "betti_from_sizes", recording_sizes)
-    return built, reduced
+    monkeypatch.setattr(betti, "betti_from_sizes", recording)
+    return ranks
 
 
 def _record_cores(monkeypatch) -> list[tuple[int, list[int], int]]:
@@ -230,30 +223,6 @@ def _record_cores(monkeypatch) -> list[tuple[int, list[int], int]]:
 
     monkeypatch.setattr(betti, "_strong_core", recording_core)
     return cores
-
-
-def _record_rankings(monkeypatch) -> list[list[int]]:
-    """Record, for each betti_from_sizes call, the faces whose boundary columns were built for it."""
-    faces, rankings = [], []
-    build, rank = betti.boundary_columns, betti.betti_from_sizes
-
-    def recording_build(faces_k, *args):
-        faces.extend(faces_k)
-        return build(faces_k, *args)
-
-    def recording_rank(*args):
-        rankings.append(faces[:])
-        faces.clear()
-        return rank(*args)
-
-    monkeypatch.setattr(betti, "boundary_columns", recording_build)
-    monkeypatch.setattr(betti, "betti_from_sizes", recording_rank)
-    return rankings
-
-
-def _columns_on(faces: homology.FaceColumns, u: int) -> set[int]:
-    """The ids of the columns of u's faces."""
-    return {id(col) for k in range(1, len(faces.by_size)) for f, col in faces.columns(k).items() if f >> u & 1}
 
 
 class TestGraphBettiTable:
@@ -327,22 +296,22 @@ class TestDepth:
         assert reduced_betti(link(c, 0b111)).get(-1, 0) == 1
 
 
-def _record_column_builds(monkeypatch) -> tuple[list[int], set[int]]:
-    """Face sizes whose boundary columns get built, and sizes the scans read."""
+def _record_column_builds(monkeypatch) -> tuple[list[int], list[tuple[int, int]]]:
+    """Face sizes whose boundary columns get built, and (largest size, ell_hi) of each rank call."""
     built: list[int] = []
-    read: set[int] = set()
-    build, scan = homology.boundary_columns, betti.betti_from_sizes
+    read: list[tuple[int, int]] = []
+    build, rank = homology.boundary_columns, betti.betti_from_sizes
 
     def counting_build(faces_k, faces_km1, characteristic):
         built.append(faces_k[0].bit_count() if faces_k else -1)
         return build(faces_k, faces_km1, characteristic)
 
-    def recording_scan(columns_by_size, *args):
-        read.update(range(len(columns_by_size)))
-        return scan(columns_by_size, *args)
+    def recording_rank(faces_by_size, field, ell_lo=-1, ell_hi=None):
+        read.append((len(faces_by_size) - 1, ell_hi))
+        return rank(faces_by_size, field, ell_lo, ell_hi)
 
     monkeypatch.setattr(homology, "boundary_columns", counting_build)
-    monkeypatch.setattr(betti, "betti_from_sizes", recording_scan)
+    monkeypatch.setattr(betti, "betti_from_sizes", recording_rank)
     return built, read
 
 
@@ -350,8 +319,9 @@ class TestLazyColumns:
     def test_depth_skips_the_large_faces(self, monkeypatch):
         # every scanned G_a holds the six universal vertices, so only faces of
         # the two triangles count; the link of G_a = {} is the two triangles,
-        # which collapse to two points, so it is ranked on the empty face and
-        # two vertices alone and gives depth 6 + 0 + 1
+        # which collapse to two points, so it is handed over as the empty face
+        # and two vertices alone, needs no column for the rank of d_1, and
+        # gives depth 6 + 0 + 1
         g = K6_JOIN_TRIANGLES
         assert len(clique_complex(g).faces_by_size()) == 10
         built, read = _record_column_builds(monkeypatch)
@@ -359,17 +329,18 @@ class TestLazyColumns:
             built.clear()
             read.clear()
             assert graph_depth(g, field).depth == 7
-            assert built == [0, 1] and read == {0, 1}
+            assert built == [] and read == [(1, 2)]
 
-    def test_each_size_built_once_and_read(self, monkeypatch):
+    def test_no_rank_reads_above_kmax(self, monkeypatch):
+        # each Delta_a is handed over up to size kmax = ell_hi + 2 only, also
+        # where a caller yields larger faces, as the symbolic square does
         rng = random.Random(17)
-        graphs = [random_graph(rng, 11, p) for p in (0.7, 0.8, 0.9) for _ in range(3)]
-        built, read = _record_column_builds(monkeypatch)
+        graphs = [random_graph(rng, n, p) for n in (7, 8, 9) for p in (0.5, 0.7, 0.9)]
+        _, read = _record_column_builds(monkeypatch)
         for g in graphs:
-            built.clear()
-            read.clear()
             graph_depth(g, GF3)
-            assert len(built) == len(set(built)) and set(built) == read
+            second_power_depths(g, GF3)
+        assert read and all(top <= ell_hi + 2 for top, ell_hi in read)
 
 
 @st.composite
@@ -544,14 +515,13 @@ class TestMayerVietoris:
         # nb = {poles, a, b} both span circles, and i_1 maps the one onto the
         # other: with v on top, a conflict that no count resolves.  But
         # Delta|_x is a disc, which strong collapses take to one vertex, so
-        # the conflict's ranks are all 0, with no column reduced and no
-        # complex built
+        # the conflict's ranks are all 0, with nothing handed to a rank
         g = join(construct_example("cycle", t=5), Graph.from_edges(2, []))
-        built, reduced = _record_ranks(monkeypatch)
+        ranks = _record_ranks(monkeypatch)
         cores = _record_cores(monkeypatch)
         assert graph_betti_table(g, field).entries == oracle_betti_table(g)
         assert cores and all(core.bit_count() == 1 for _, _, core in cores)
-        assert not built and not reduced
+        assert not ranks
 
     @pytest.fixture(scope="class")
     def ranked_conflict_oracle(self):
@@ -560,13 +530,11 @@ class TestMayerVietoris:
     @FOUR_FIELDS
     def test_conflict_core_ranks_its_faces(self, monkeypatch, field, ranked_conflict_oracle):
         # some conflict's strong-collapse core keeps faces of size 3; each
-        # distinct core is ranked once, on the columns of its own cliques,
-        # and no FaceColumns is built
-        built, reduced = _record_ranks(monkeypatch)
+        # distinct core is ranked once, on its own cliques
+        ranks = _record_ranks(monkeypatch)
         cores = _record_cores(monkeypatch)
-        rankings = _record_rankings(monkeypatch)
         assert graph_betti_table(RANKED_CONFLICT, field).entries == ranked_conflict_oracle
-        assert not built and reduced
+        rankings = [[f for group in groups for f in group] for groups in ranks]
         ranked = [(x, closed, core) for x, closed, core in cores if core.bit_count() > 1]
         distinct = {core for _, _, core in ranked}
         assert len(rankings) == len(distinct)
@@ -590,7 +558,7 @@ class TestMayerVietoris:
         # vertices each and different homology, so each needs its own ranks
         expected = graded_betti_table(clique_complex(SHARED_CORES), field)
         cores = _record_cores(monkeypatch)
-        rankings = _record_rankings(monkeypatch)
+        rankings = _record_ranks(monkeypatch)
         assert graph_betti_table(SHARED_CORES, field) == expected
         ranked = [core for _, _, core in cores if core.bit_count() > 1]
         assert len(rankings) == len(set(ranked)) < len(ranked)
@@ -741,7 +709,6 @@ class TestKappaViaBetti:
 
         monkeypatch.setattr(betti, "graph_betti_table", counting_table)
         monkeypatch.setattr(homology, "boundary_columns", counting_build)
-        monkeypatch.setattr(betti, "boundary_columns", counting_build, raising=False)
         for field in (GF2, GF3, RATIONAL):
             tables.clear()
             assert kappa_via_betti(RANKED_CONFLICT, field) == vertex_connectivity(RANKED_CONFLICT).kappa
