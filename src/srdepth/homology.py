@@ -5,11 +5,10 @@ size-0 face and the augmentation map realizes reduced homology.  Boundary
 signs follow lexicographic face order and removed-vertex position; any
 consistent convention yields the same ranks.
 
-Each field has its own column form and rank kernel: GF(2) columns are row
-bitmasks, GF(3) columns are (ones, twos) pairs of row bitmasks added
-bitsliced (Boothby-Bradshaw, arXiv:0901.1413), and other fields use sparse
-{row: coefficient} dicts, eliminated fraction-free on integers over the
-rationals (Bareiss, Math. Comp. 22, 1968).
+There are two column forms and two rank kernels: GF(2) columns are row
+bitmasks, and every other field uses sparse {row: coefficient} dicts,
+eliminated over GF(p) for every odd prime p and fraction-free on integers
+over the rationals (Bareiss, Math. Comp. 22, 1968).
 
 Faces reach the kernels one way: ``betti_from_sizes`` takes a complex's
 faces grouped by size and builds the boundary columns of each size whose
@@ -70,27 +69,6 @@ def rank_gf2(columns: Sequence[int]) -> int:
     return len(echelon)
 
 
-def rank_gf3(columns: Sequence[tuple[int, int]]) -> int:
-    """Rank of a GF(3) matrix given as (ones, twos) row bitmask pairs.
-
-    Each pivot is stored scaled so that its lowest row holds 1; its negation
-    is the swapped pair.
-    """
-    echelon: dict[int, tuple[int, int]] = {}  # lowest row bit -> pivot pair
-    for x1, x2 in columns:
-        while v := x1 | x2:
-            low = v & -v
-            p = echelon.get(low)
-            if p is None:
-                echelon[low] = (x2, x1) if x2 & low else (x1, x2)
-                break
-            # add the pivot to an entry 2, its negation to an entry 1
-            y1, y2 = p if x2 & low else (p[1], p[0])
-            t = (x1 | y2) ^ (x2 | y1)
-            x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
-    return len(echelon)
-
-
 def rank_sparse(columns: Sequence[dict[int, int]], characteristic: int) -> int:
     """Rank over GF(p) (p prime) or the rationals (characteristic 0).
 
@@ -139,8 +117,8 @@ def rank_sparse(columns: Sequence[dict[int, int]], characteristic: int) -> int:
 def boundary_columns(faces_k: Sequence[int], faces_km1: Sequence[int], characteristic: int):
     """Sparse boundary columns from size-k faces to size-(k-1) faces.
 
-    GF(2) gives integer bitmask columns, GF(3) (ones, twos) bitmask pairs,
-    and any other field {row: sign} dicts, with -1 taken mod p.
+    GF(2) gives integer bitmask columns and any other field {row: sign}
+    dicts, with -1 taken mod p.
     """
     row_index = {f: i for i, f in enumerate(faces_km1)}
     cols = []
@@ -152,19 +130,6 @@ def boundary_columns(faces_k: Sequence[int], faces_km1: Sequence[int], character
                 col |= 1 << row_index[f ^ low]
                 rest ^= low
             cols.append(col)
-        return cols
-    if characteristic == 3:
-        for f in faces_k:
-            ones, twos, rest, plus = 0, 0, f, True
-            while rest:  # vertices in ascending order, signs alternating from +1
-                low = rest & -rest
-                if plus:
-                    ones |= 1 << row_index[f ^ low]
-                else:
-                    twos |= 1 << row_index[f ^ low]
-                plus = not plus
-                rest ^= low
-            cols.append((ones, twos))
         return cols
     minus = characteristic - 1 if characteristic else -1
     for f in faces_k:
@@ -185,8 +150,6 @@ def boundary_rank(columns: Sequence, field: FieldSpec) -> int:
     p = field.characteristic
     if p == 2:
         return rank_gf2(columns)
-    if p == 3:
-        return rank_gf3(columns)
     return rank_sparse(columns, p)
 
 

@@ -119,6 +119,16 @@ class TestParserSurface:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and f"argument {flag}: must be >= {floor}, got {below}" in err
 
+    def test_no_state_survives_a_call(self, capsys):
+        # a usage error and a help page in between leave a repeated call unchanged
+        argv = ["verify", "--name", "c6", "--format", "json"]
+        first = run(capsys, *argv)
+        assert first[0] == 0 and first[1]
+        bad = help_output(capsys, ["verify", "--name", "c6", "--bogus"])
+        assert bad["exit"] == 2 and bad["stderr"].startswith("usage:") and "--bogus" in bad["stderr"]
+        assert help_output(capsys, ["betti", "--help"])["exit"] == 0
+        assert run(capsys, *argv) == first
+
 
 GOLDEN_HELP = json.loads((Path(__file__).parent / "golden_help.json").read_text())
 

@@ -18,7 +18,6 @@ from srdepth.homology import (
     boundary_columns,
     boundary_rank,
     rank_gf2,
-    rank_gf3,
     rank_sparse,
 )
 from srdepth.verify import construct_example
@@ -115,7 +114,7 @@ class TestRank:
     def test_gf3_against_oracles(self):
         # +-1/+-2 entries, all-zero columns and rows, and the empty matrix
         rng = random.Random(12)
-        assert rank_gf3([]) == 0
+        assert rank_sparse([], 3) == 0
         for _ in range(120):
             rows, cols_n = rng.randint(1, 9), rng.randint(1, 9)
             density = rng.choice((0.2, 0.5, 0.9))
@@ -124,9 +123,7 @@ class TestRank:
             for j in rng.sample(range(cols_n), rng.randint(0, min(2, cols_n))):
                 for row in dense:
                     row[j] = 0
-            expected = _rank_mod_p(dense, 3)
-            assert rank_gf3(_gf3_pairs(dense)) == expected, dense
-            assert rank_sparse(_dict_columns(dense, 3), 3) == expected, dense
+            assert rank_sparse(_dict_columns(dense, 3), 3) == _rank_mod_p(dense, 3), dense
 
     def test_rational_against_oracle(self):
         import sympy
@@ -194,19 +191,9 @@ class TestRank:
 
     def test_boundary_columns_reduced_mod_p(self):
         faces = clique_complex(C6).faces_by_size()
-        for p, minus in ((5, 4), (7, 6), (0, -1)):
+        for p, minus in ((3, 2), (5, 4), (7, 6), (0, -1)):
             cols = boundary_columns(faces[2], faces[1], p)
             assert {v for col in cols for v in col.values()} == {1, minus}
-        ones_twos = boundary_columns(faces[2], faces[1], 3)
-        dicts = boundary_columns(faces[2], faces[1], 0)
-        assert ones_twos == _gf3_pairs([[col.get(i, 0) for col in dicts] for i in range(len(faces[1]))])
-
-
-def _gf3_pairs(dense):
-    """(ones, twos) row bitmasks of each column of a dense integer matrix, mod 3."""
-    return [(mask_of(i for i, row in enumerate(dense) if row[j] % 3 == 1),
-             mask_of(i for i, row in enumerate(dense) if row[j] % 3 == 2))
-            for j in range(len(dense[0]))] if dense else []
 
 
 def _dict_columns(dense, p):
@@ -283,7 +270,7 @@ class TestBoundaryRank:
         for field in (GF2, GF3, RATIONAL):
             assert boundary_rank([], field) == 0
         assert boundary_rank([0, 0], GF2) == 0
-        assert boundary_rank([(0, 0), (0, 0)], GF3) == 0  # GF(3) columns are (ones, twos)
+        assert boundary_rank([{}, {}], GF3) == 0
         assert boundary_rank([{}, {}], RATIONAL) == 0
         assert rank_sparse([{}, {}], 3) == 0
 
